@@ -11,7 +11,9 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DataError, ParseError, SchemaError
 
@@ -19,9 +21,17 @@ BARREL_VOLUMES = (8, 13, 17)
 N_PHI_SECTORS = 8
 N_Z_HALVES = 2
 _WEDGE = math.pi / 4.0
+_TWO_PI = 2.0 * math.pi
+# Doublet building handles this many phi-window candidates per numpy block,
+# which bounds its scratch memory whatever the layer occupancy.
+_BLOCK_PAIRS = 4096
+# Relative and absolute widening of the phi window, so that float rounding
+# can only make it too wide, never too narrow.
+_WINDOW_REL = 1e-9
+_WINDOW_ABS = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class Hit:
     hit_id: int
     x: float
@@ -38,7 +48,7 @@ class Hit:
         self.phi = math.atan2(self.y, self.x)
 
 
-@dataclass
+@dataclass(slots=True)
 class Particle:
     particle_id: int
     px: float
@@ -79,7 +89,7 @@ class SelectionCuts:
             raise ValueError(f"unknown pt_mode {self.pt_mode!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Doublet:
     src_hit: int  # hit id of the inner hit (smaller r)
     dst_hit: int
@@ -113,57 +123,60 @@ class LabelStats:
 # --- CSV loading -------------------------------------------------------------
 
 
-def _read_rows(path: str, required: Sequence[str]) -> List[Dict[str, float]]:
+def _read_rows(path: str, required: Sequence[str]) -> Iterator[Tuple[float, ...]]:
+    """Yield the required columns of each data row as finite floats."""
     if not os.path.exists(path):
         raise IOError(f"no such file: {path}")
-    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
         for col in required:
             if col not in header:
                 raise SchemaError(f"{path}: missing column '{col}'")
-        for lineno, row in enumerate(reader, start=2):
-            parsed = {}
-            for col in required:
-                cell = row[col]
+        # a repeated column name reads its last occurrence
+        index = [len(header) - 1 - header[::-1].index(col) for col in required]
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue  # blank lines are not rows
+            lineno += 1
+            values = []
+            for col, i in zip(required, index):
+                cell = row[i] if i < len(row) else None
                 try:
-                    parsed[col] = float(cell)
+                    value = float(cell)
                 except (TypeError, ValueError):
                     raise ParseError(
                         f"{path}:{lineno}: non-numeric value {cell!r} "
                         f"in column '{col}'"
                     )
-            rows.append(parsed)
-    return rows
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}:{lineno}: non-finite value {cell!r} "
+                        f"in column '{col}'"
+                    )
+                values.append(value)
+            yield tuple(values)
 
 
 def load_event(hits_path: str, particles_path: str, truth_path: str) -> Event:
     """Load a TrackML-convention CSV triplet into an Event."""
-    hit_rows = _read_rows(
-        hits_path, ["hit_id", "x", "y", "z", "volume_id", "layer_id"]
-    )
-    particle_rows = _read_rows(particles_path, ["particle_id", "px", "py", "pz"])
-    truth_rows = _read_rows(truth_path, ["hit_id", "particle_id"])
-
     hits = [
-        Hit(
-            hit_id=int(r["hit_id"]),
-            x=r["x"],
-            y=r["y"],
-            z=r["z"],
-            volume_id=int(r["volume_id"]),
-            layer_id=int(r["layer_id"]),
+        Hit(int(hit_id), x, y, z, int(volume_id), int(layer_id))
+        for hit_id, x, y, z, volume_id, layer_id in _read_rows(
+            hits_path, ["hit_id", "x", "y", "z", "volume_id", "layer_id"]
         )
-        for r in hit_rows
     ]
     particles = {
-        int(r["particle_id"]): Particle(
-            int(r["particle_id"]), r["px"], r["py"], r["pz"]
+        int(pid): Particle(int(pid), px, py, pz)
+        for pid, px, py, pz in _read_rows(
+            particles_path, ["particle_id", "px", "py", "pz"]
         )
-        for r in particle_rows
     }
-    truth = {int(r["hit_id"]): int(r["particle_id"]) for r in truth_rows}
+    truth = {
+        int(hit_id): int(pid)
+        for hit_id, pid in _read_rows(truth_path, ["hit_id", "particle_id"])
+    }
     return Event(hits=hits, truth=truth, particles=particles)
 
 
@@ -217,32 +230,144 @@ def passes_cuts(d: Doublet, cuts: SelectionCuts) -> bool:
     return cuts.eta_range[0] <= d.eta <= cuts.eta_range[1]
 
 
+def _wrap_phi_array(dphi: np.ndarray) -> np.ndarray:
+    """wrap_phi elementwise, with the same float operations."""
+    while (low := dphi <= -math.pi).any():
+        dphi = np.where(low, dphi + _TWO_PI, dphi)
+    while (high := dphi > math.pi).any():
+        dphi = np.where(high, dphi - _TWO_PI, dphi)
+    return dphi
+
+
+def _coords(layer: Sequence[Hit]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = len(layer)
+    return (
+        np.fromiter((h.r for h in layer), float, n),
+        np.fromiter((h.phi for h in layer), float, n),
+        np.fromiter((h.z for h in layer), float, n),
+    )
+
+
+def _layer_pair_doublets(
+    inner: Sequence[Hit],
+    outer: Sequence[Hit],
+    cuts: SelectionCuts,
+    stats: DoubletStats,
+    doublets: List[Doublet],
+) -> None:
+    """Append the doublets of one layer pair in all-pairs loop order
+    (inner hit, then outer hit, both in input order)."""
+    r_in, phi_in, z_in = _coords(inner)
+    r_out, phi_out, z_out = _coords(outer)
+
+    # Equal radii are counted over all pairs, inside the window or not.
+    r_sorted = np.sort(r_out)
+    stats.zero_dr_skipped += int(
+        (
+            np.searchsorted(r_sorted, r_in, "right")
+            - np.searchsorted(r_sorted, r_in, "left")
+        ).sum()
+    )
+
+    # Any pair that can pass the dphi cut has |dphi| < half.
+    if cuts.cut_mode == "slope":
+        max_dr = max(r_out.max() - r_in.min(), r_in.max() - r_out.min())
+        half = cuts.dphi_slope_max * float(max_dr)
+    else:
+        half = cuts.dphi_slope_max
+    half = half * (1.0 + _WINDOW_REL) + _WINDOW_ABS
+    if half >= math.pi:
+        # the window is the whole circle: every outer hit, in input order
+        slot_to_outer = np.arange(len(outer))
+        lo = np.zeros(len(inner), dtype=np.int64)
+        hi = np.full(len(inner), len(outer), dtype=np.int64)
+    else:
+        # outer phis sorted, with copies shifted by -2pi and +2pi for the seam
+        order = np.argsort(phi_out, kind="stable")
+        sorted_phi = phi_out[order]
+        slot_phi = np.concatenate(
+            (sorted_phi - _TWO_PI, sorted_phi, sorted_phi + _TWO_PI)
+        )
+        slot_to_outer = np.tile(order, 3)
+        lo = np.searchsorted(slot_phi, phi_in - half, "left")
+        hi = np.searchsorted(slot_phi, phi_in + half, "right")
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    stats.pairs_considered += int(ends[-1])
+
+    start = 0
+    while start < len(inner):
+        # inner hits [start, stop) with about _BLOCK_PAIRS candidates in all
+        first = int(ends[start] - counts[start])
+        stop = max(int(np.searchsorted(ends, first + _BLOCK_PAIRS, "right")), start + 1)
+        block = counts[start:stop]
+        n = int(ends[stop - 1]) - first
+        i_in = np.repeat(np.arange(start, stop), block)
+        offset = np.arange(n) - np.repeat(np.cumsum(block) - block, block)
+        i_out = slot_to_outer[np.repeat(lo[start:stop], block) + offset]
+        start = stop
+
+        # Equal radii were counted above and make no doublet. The rest get
+        # the src/dst choice and float operations of doublet_geometry and
+        # passes_cuts, so these cuts agree with them bit for bit.
+        nonzero = r_in[i_in] != r_out[i_out]
+        i_in, i_out = i_in[nonzero], i_out[nonzero]
+        swap = r_in[i_in] > r_out[i_out]
+
+        def src_dst(col_in, col_out):
+            a, b = col_in[i_in], col_out[i_out]
+            return np.where(swap, b, a), np.where(swap, a, b)
+
+        src_r, dst_r = src_dst(r_in, r_out)
+        dr = dst_r - src_r
+        src_phi, dst_phi = src_dst(phi_in, phi_out)
+        abs_dphi = np.abs(_wrap_phi_array(dst_phi - src_phi))
+        if cuts.cut_mode == "slope":
+            ok = abs_dphi / dr < cuts.dphi_slope_max
+        else:
+            ok = abs_dphi < cuts.dphi_slope_max
+        src_z, dst_z = src_dst(z_in, z_out)
+        z0 = src_z - src_r * ((dst_z - src_z) / dr)
+        ok &= np.abs(z0) < cuts.z0_max
+
+        i_in, i_out = i_in[ok], i_out[ok]
+        by_input = np.lexsort((i_out, i_in))  # the all-pairs loop order
+        for i, j in zip(i_in[by_input].tolist(), i_out[by_input].tolist()):
+            a, b = inner[i], outer[j]
+            src, dst = (a, b) if a.r <= b.r else (b, a)
+            d = Doublet(src.hit_id, dst.hit_id, *doublet_geometry(src, dst))
+            if passes_cuts(d, cuts):
+                doublets.append(d)
+
+
 def build_doublets(
     hits: Sequence[Hit], cuts: SelectionCuts
 ) -> Tuple[List[Doublet], DoubletStats]:
-    """All consecutive-layer hit pairs that survive the geometric cuts."""
+    """All consecutive-layer hit pairs that survive the geometric cuts.
+
+    For each layer pair, a phi-window search over the phi-sorted outer layer
+    finds the candidate partners of each inner hit. Exact numpy copies of
+    the dr, dphi and z0 cuts thin the candidates; doublet_geometry and
+    passes_cuts decide the rest. Doublets, their order and every field are
+    those of testing all pairs; pairs_considered counts window candidates,
+    zero_dr_skipped all equal-radius pairs.
+    """
     layers: Dict[int, List[Hit]] = {}
     for h in hits:
         if h.layer_index < 0:
             raise DataError(f"hit {h.hit_id} has no layer_index; select first")
+        if not (math.isfinite(h.r) and math.isfinite(h.phi) and math.isfinite(h.z)):
+            raise DataError(
+                f"hit {h.hit_id} has a non-finite coordinate "
+                f"(r={h.r!r}, phi={h.phi!r}, z={h.z!r})"
+            )
         layers.setdefault(h.layer_index, []).append(h)
 
     stats = DoubletStats()
     doublets: List[Doublet] = []
     for k in sorted(layers):
-        if k + 1 not in layers:
-            continue
-        for inner in layers[k]:
-            for outer in layers[k + 1]:
-                stats.pairs_considered += 1
-                src, dst = (inner, outer) if inner.r <= outer.r else (outer, inner)
-                if dst.r == src.r:
-                    stats.zero_dr_skipped += 1
-                    continue
-                dphi, dz, dr, z0, eta = doublet_geometry(src, dst)
-                d = Doublet(src.hit_id, dst.hit_id, dphi, dz, dr, z0, eta)
-                if passes_cuts(d, cuts):
-                    doublets.append(d)
+        if k + 1 in layers:
+            _layer_pair_doublets(layers[k], layers[k + 1], cuts, stats, doublets)
     return doublets, stats
 
 

@@ -77,6 +77,21 @@ class TestPreprocess:
         assert len(glob.glob(str(sub / "evt*_s*"))) == 16
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_coordinate_is_data_error(self, tmp_path, events_dir, capsys, cell):
+        hits = events_dir / "event000000001-hits.csv"
+        lines = hits.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = cell  # x of the third hit
+        lines[3] = ",".join(fields)
+        hits.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert f"event000000001-hits.csv:4: non-finite value '{cell}' in column 'x'" in err
+        assert "Traceback" not in err
+
+
 class TestTrain:
     def test_outputs_and_zero_lr(self, tmp_path, subgraphs_dir):
         out = tmp_path / "model0"

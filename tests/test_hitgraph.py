@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from qseed.errors import ParseError, SchemaError
+from qseed.cli import main
+from qseed.errors import DataError, ParseError, SchemaError
 from qseed import hitgraph as hg
 from qseed import synthgen
 
@@ -38,6 +40,52 @@ def synthetic_event(tmp_path, seed=0, n_tracks=10, noise=0, **kwargs):
 
 
 GENEROUS = hg.SelectionCuts(pt_min=0.1, dphi_slope_max=0.5, z0_max=1e5, eta_range=(-6, 6))
+RAW = hg.SelectionCuts(cut_mode="raw", dphi_slope_max=0.05)
+
+
+def all_pairs_doublets(hits, cuts):
+    """Reference doublet builder: every consecutive-layer pair, in loop order."""
+    layers = {}
+    for h in hits:
+        layers.setdefault(h.layer_index, []).append(h)
+    doublets, zero_dr, pairs = [], 0, 0
+    for k in sorted(layers):
+        if k + 1 not in layers:
+            continue
+        for inner in layers[k]:
+            for outer in layers[k + 1]:
+                pairs += 1
+                src, dst = (inner, outer) if inner.r <= outer.r else (outer, inner)
+                if dst.r == src.r:
+                    zero_dr += 1
+                    continue
+                d = hg.Doublet(src.hit_id, dst.hit_id, *hg.doublet_geometry(src, dst))
+                if hg.passes_cuts(d, cuts):
+                    doublets.append(d)
+    return doublets, zero_dr, pairs
+
+
+def doublet_bits(doublets):
+    """Every field of every doublet, floats as exact hex, in order."""
+    return [
+        (d.src_hit, d.dst_hit, *(x.hex() for x in (d.dphi, d.dz, d.dr, d.z0, d.eta)), d.label)
+        for d in doublets
+    ]
+
+
+def assert_matches_all_pairs(hits, cuts):
+    got, stats = hg.build_doublets(hits, cuts)
+    want, zero_dr, pairs = all_pairs_doublets(hits, cuts)
+    assert doublet_bits(got) == doublet_bits(want)
+    assert stats.zero_dr_skipped == zero_dr
+    assert stats.pairs_considered <= pairs
+    return got, stats, pairs
+
+
+def cyl_hit(hit_id, r, phi, z, layer_index):
+    h = hg.Hit(hit_id, r * math.cos(phi), r * math.sin(phi), z, 8, 2 * layer_index + 2)
+    h.layer_index = layer_index
+    return h
 
 
 class TestLoadEvent:
@@ -81,6 +129,26 @@ class TestLoadEvent:
         bad.write_text("hit_id,x,y,z,volume_id\n1,0,0,0,8\n")
         other = tmp_path / "o.csv"
         with pytest.raises(SchemaError, match="layer_id"):
+            hg.load_event(str(bad), str(other), str(other))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_has_row_number(self, tmp_path, cell):
+        bad = tmp_path / "hits.csv"
+        bad.write_text(f"hit_id,x,y,z,volume_id,layer_id\n1,0,0,0,8,2\n2,1,{cell},0,8,2\n")
+        other = tmp_path / "o.csv"
+        with pytest.raises(ParseError, match=r"hits\.csv:3: non-finite value .* column 'y'"):
+            hg.load_event(str(bad), str(other), str(other))
+
+    def test_non_finite_momentum_rejected(self, tmp_path):
+        paths = write_event_files(tmp_path, [(1, 32.0, 0.0, 0.0, 8, 2)], [(5, 1.0, "nan", 0.0)], [(1, 5)])
+        with pytest.raises(ParseError, match=r"particles\.csv:2"):
+            hg.load_event(*paths)
+
+    def test_short_row_has_row_number(self, tmp_path):
+        bad = tmp_path / "hits.csv"
+        bad.write_text("hit_id,x,y,z,volume_id,layer_id\n1,0,0,0,8\n")
+        other = tmp_path / "o.csv"
+        with pytest.raises(ParseError, match=r"hits\.csv:2: non-numeric value None in column 'layer_id'"):
             hg.load_event(str(bad), str(other), str(other))
 
     def test_non_numeric_cell_has_row_number(self, tmp_path):
@@ -170,6 +238,16 @@ class TestBuildDoublets:
         ):
             assert len(hg.build_doublets(hits, loosened)[0]) >= n_base
 
+    def test_non_finite_coordinate_is_data_error(self):
+        a = cyl_hit(1, 32.0, 0.0, 0.0, 0)
+        b = cyl_hit(2, 72.0, 0.0, float("nan"), 1)
+        with pytest.raises(DataError, match="hit 2 has a non-finite coordinate"):
+            hg.build_doublets([a, b], hg.SelectionCuts())
+        c = hg.Hit(3, float("inf"), 0.0, 0.0, 8, 4)
+        c.layer_index = 1
+        with pytest.raises(DataError, match="hit 3"):
+            hg.build_doublets([a, c], hg.SelectionCuts())
+
     def test_raw_cut_mode(self):
         src = hg.Hit(1, 32.0, 0.0, 0.0, 8, 2)
         dst = hg.Hit(2, 72.0 * math.cos(0.0004), 72.0 * math.sin(0.0004), 0.0, 8, 4)
@@ -177,6 +255,117 @@ class TestBuildDoublets:
         raw_cuts = hg.SelectionCuts(cut_mode="raw")
         doublets, _ = hg.build_doublets([src, dst], raw_cuts)
         assert len(doublets) == 1  # |dphi| = 0.0004 < 0.0006
+
+
+class TestWindowMatchesAllPairs:
+    """build_doublets searches a phi window; the all-pairs loop is its oracle."""
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize(
+        "cuts",
+        [hg.SelectionCuts(), GENEROUS, RAW, hg.SelectionCuts(cut_mode="raw")],
+        ids=["default", "generous", "raw", "raw-default"],
+    )
+    def test_synthgen_events(self, tmp_path, seed, cuts):
+        event = synthetic_event(tmp_path, seed=seed, n_tracks=40, noise=300, smear_sigma=0.5)
+        hits = hg.select_barrel_hits(event)
+        got, stats, pairs = assert_matches_all_pairs(hits, cuts)
+        assert got
+        if cuts is GENEROUS:
+            assert stats.pairs_considered == pairs  # window covers the circle
+        else:
+            assert stats.pairs_considered < pairs / 4
+
+    def test_pairs_across_the_seam(self):
+        hits = [
+            cyl_hit(1, 32.0, math.pi - 0.001, 0.0, 0),
+            cyl_hit(2, 32.0, -math.pi + 0.002, 0.0, 0),
+            cyl_hit(3, 72.0, -math.pi + 0.001, 0.0, 1),
+            cyl_hit(4, 72.0, math.pi - 0.002, 0.0, 1),
+            cyl_hit(5, 72.0, 0.0, 0.0, 1),
+            cyl_hit(6, 72.0, math.pi, 0.0, 1),
+        ]
+        got, _, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
+        assert [(d.src_hit, d.dst_hit) for d in got] == [
+            (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 6)
+        ]
+
+    @pytest.mark.parametrize("mode", ["slope", "raw"])
+    def test_cut_value_exactly_on_a_pair(self, mode):
+        # A pair whose |dphi| (raw) or |dphi|/dr (slope) equals the cut fails
+        # it; one ulp more and it passes. Near the seam and elsewhere, the
+        # window must hold the pair in both cases.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            phi = float(rng.choice([math.pi, -math.pi, 0.0, 1.0])) + float(rng.uniform(-0.01, 0.01))
+            hits = [
+                cyl_hit(1, float(rng.uniform(20, 40)), phi, 1.0, 0),
+                cyl_hit(2, float(rng.uniform(60, 80)), phi + float(rng.uniform(-0.03, 0.03)), 2.0, 1),
+            ]
+            dphi, _, dr, _, _ = hg.doublet_geometry(hits[0], hits[1])
+            value = abs(dphi) / dr if mode == "slope" else abs(dphi)
+            if value == 0.0:
+                continue
+            on_cut = hg.SelectionCuts(dphi_slope_max=value, cut_mode=mode)
+            assert assert_matches_all_pairs(hits, on_cut)[0] == []
+            above = hg.SelectionCuts(dphi_slope_max=math.nextafter(value, 1.0), cut_mode=mode)
+            assert len(assert_matches_all_pairs(hits, above)[0]) == 1
+
+    def test_zero_dr_pair_outside_the_window(self):
+        hits = [
+            cyl_hit(1, 32.0, 0.0, 0.0, 0),
+            cyl_hit(2, 72.0, 0.0, 0.0, 1),
+            cyl_hit(3, 32.0, 2.0, 0.0, 1),  # same r as hit 1, far in phi
+        ]
+        got, stats, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
+        assert [(d.src_hit, d.dst_hit) for d in got] == [(1, 2)]
+        assert stats.zero_dr_skipped == 1
+        assert stats.pairs_considered == 1
+
+    def test_inner_layer_hit_outside_its_partner(self):
+        hits = [
+            cyl_hit(1, 80.0, 0.5, 3.0, 0),
+            cyl_hit(2, 72.0, 0.5, 1.0, 1),
+            cyl_hit(3, 30.0, 0.5, 0.0, 1),
+        ]
+        got, _, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
+        assert [(d.src_hit, d.dst_hit) for d in got] == [(2, 1), (3, 1)]
+        assert all(d.dr > 0 for d in got)
+
+    def test_empty_next_layer_and_one_hit_layer(self):
+        hits = [
+            cyl_hit(1, 32.0, 0.1, 0.0, 0),
+            cyl_hit(2, 116.0, 0.1, 0.0, 2),
+            cyl_hit(3, 172.0, 0.1, 0.0, 3),
+            cyl_hit(4, 172.0, 0.1002, 0.0, 3),
+            cyl_hit(5, 172.0, -2.0, 0.0, 3),
+        ]
+        got, stats, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
+        assert [(d.src_hit, d.dst_hit) for d in got] == [(2, 3), (2, 4)]
+        assert stats.pairs_considered == 2
+
+
+def test_preprocess_bytes_match_all_pairs_pipeline(tmp_path):
+    events = tmp_path / "events"
+    assert main(["gen", "--out", str(events), "--tracks", "60", "--noise", "400", "--seed", "4"]) == 0
+    out = tmp_path / "cli"
+    assert main(["preprocess", "--in", str(events), "--out", str(out)]) == 0
+
+    cuts = hg.SelectionCuts()
+    event = hg.load_event(*synthgen.event_paths(str(events), 1))
+    hits = hg.select_barrel_hits(event)
+    doublets, _, _ = all_pairs_doublets(hits, cuts)
+    assert doublets
+    doublets, _ = hg.label_edges(doublets, event.truth, event.particles, cuts)
+    subgraphs, _ = hg.section_graph(hits, doublets, event_id=1)
+    ref = tmp_path / "ref"
+    for g in subgraphs:
+        hg.write_subgraph(g, str(ref))
+    names = sorted(os.listdir(ref))
+    assert names == sorted(n for n in os.listdir(out) if n.startswith("evt"))
+    for name in names:
+        for f in ("nodes.csv", "edges.csv"):
+            assert (out / name / f).read_bytes() == (ref / name / f).read_bytes()
 
 
 class TestLabelEdges:
