@@ -1,4 +1,5 @@
 import glob
+import math
 import os
 
 import pytest
@@ -76,6 +77,24 @@ class TestPreprocess:
         assert "no barrel hits" in capsys.readouterr().out
         assert len(glob.glob(str(sub / "evt*_s*"))) == 16
 
+    def test_pt_mode_filter_keeps_noise_and_high_pt_hits(self, tmp_path, capsys):
+        events = tmp_path / "ev"
+        assert run([
+            "gen", "--out", events, "--tracks", "40", "--noise", "30", "--seed", "5",
+            "--pt-min", "0.5", "--pt-max", "3",
+        ]) == 0
+
+        def rows(name):
+            text = (events / f"event000000001-{name}.csv").read_text()
+            return [line.split(",") for line in text.splitlines()[1:]]
+
+        pt = {int(p): math.hypot(float(px), float(py)) for p, px, py, _ in rows("particles")}
+        truth = [int(p) for _, p in rows("truth")]
+        expected = sum(p == 0 or pt[p] > 1.5 for p in truth)
+        assert 0 < truth.count(0) < expected < len(truth)
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events, "--out", tmp_path / "s", "--pt-mode", "filter", "--pt-min", "1.5"]) == 0
+        assert f"event 1: {expected} hits kept," in capsys.readouterr().out
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_coordinate_is_data_error(self, tmp_path, events_dir, capsys, cell):
