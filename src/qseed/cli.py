@@ -181,28 +181,23 @@ def cmd_preprocess(in_dir, out, config_path, pt_min, dphi_max, z0_max, eta_min, 
     for hits_path in hits_files:
         stem = hits_path[: -len("-hits.csv")]
         event_id = int(os.path.basename(stem)[len("event"):])
-        event = hitgraph.load_event(
-            hits_path, f"{stem}-particles.csv", f"{stem}-truth.csv"
+        hits = hitgraph.select_barrel_hits(
+            hitgraph.load_event(hits_path, f"{stem}-particles.csv", f"{stem}-truth.csv")
         )
-        hits = hitgraph.select_barrel_hits(event)
         if cuts.pt_mode == "filter":
-            hits = hitgraph.filter_low_pt_hits(
-                hits, event.truth, event.particles, cuts.pt_min
-            )
+            hits = hitgraph.filter_low_pt_hits(hits, cuts.pt_min)
         if not hits:
             click.echo(f"warning: event {event_id} has no barrel hits")
-        doublets, dstats = hitgraph.build_doublets(hits, cuts)
-        doublets, lstats = hitgraph.label_edges(
-            doublets, event.truth, event.particles, cuts
-        )
-        subgraphs, dropped = hitgraph.section_graph(hits, doublets, event_id)
+        pairs, dstats = hitgraph.build_doublets(hits, cuts)
+        labels, lstats = hitgraph.label_edges(pairs, hits, cuts)
+        subgraphs, dropped = hitgraph.section_graph(hits, pairs, labels, event_id)
         for g in subgraphs:
             hitgraph.write_subgraph(g, out)
         total += len(subgraphs)
-        n_true = sum(d.label for d in doublets)
+        n_true = int(labels.sum())
         click.echo(
-            f"event {event_id}: {len(hits)} hits kept, {len(doublets)} doublets "
-            f"({n_true} true / {len(doublets) - n_true} fake), "
+            f"event {event_id}: {len(hits)} hits kept, {len(pairs)} doublets "
+            f"({n_true} true / {len(pairs) - n_true} fake), "
             f"{dropped} cross-sector dropped, {dstats.zero_dr_skipped} zero-dr "
             f"skipped, {lstats.missing_truth} missing-truth"
         )
@@ -355,23 +350,15 @@ def cmd_predict(data, model_path, out, config_path, shots, shot_seed):
     params, scaler, _ = ttn.load_model(model_path)
     subgraphs = _load_subgraphs(data)
     os.makedirs(out, exist_ok=True)
+    shot_cfg = ShotConfig(r["shots"], r["shot_seed"]) if r["shots"] > 0 else None
     n = 0
     with open(os.path.join(out, "predictions.csv"), "w", encoding="utf-8") as fh:
         fh.write("subgraph,src,dst,label,pred\n")
-        for g in subgraphs:
-            for edge in g.edges:
-                shot_cfg = (
-                    ShotConfig(r["shots"], r["shot_seed"] + n)
-                    if r["shots"] > 0
-                    else None
-                )
-                pred = ttn.ttn_forward(
-                    training.edge_raw_features(g, edge), params, scaler, shot_cfg
-                )
-                fh.write(
-                    f"{training.subgraph_id(g)},{edge[0]},{edge[1]},{edge[2]},{pred!r}\n"
-                )
-                n += 1
+        for g, (src, dst, label), pred in training.edge_predictions(
+            subgraphs, params, scaler, shot_cfg
+        ):
+            fh.write(f"{hitgraph.subgraph_dirname(g)},{src},{dst},{label},{pred!r}\n")
+            n += 1
     click.echo(f"{n} predictions written")
     write_manifest(out, "predict", r, t0)
 

@@ -2,6 +2,8 @@
 
 Pipeline: load CSV triplet -> select barrel hits -> build doublets under the
 geometric cuts -> truth-label edges -> section into 16 (8 phi x 2 z) subgraphs.
+An event is one column table (`Hits`, one row per hit); doublets are pairs of
+row indices into it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ import csv
 import math
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,42 +31,36 @@ _BLOCK_PAIRS = 4096
 # can only make it too wide, never too narrow.
 _WINDOW_REL = 1e-9
 _WINDOW_ABS = 1e-12
-
-
-@dataclass(slots=True)
-class Hit:
-    hit_id: int
-    x: float
-    y: float
-    z: float
-    volume_id: int
-    layer_id: int
-    r: float = field(init=False)
-    phi: float = field(init=False)
-    layer_index: int = -1
-
-    def __post_init__(self) -> None:
-        self.r = math.hypot(self.x, self.y)
-        self.phi = math.atan2(self.y, self.x)
-
-
-@dataclass(slots=True)
-class Particle:
-    particle_id: int
-    px: float
-    py: float
-    pz: float
-
-    @property
-    def pt(self) -> float:
-        return math.hypot(self.px, self.py)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass
-class Event:
-    hits: List[Hit]
-    truth: Dict[int, int]  # hit_id -> particle_id (0 = noise)
-    particles: Dict[int, Particle]
+class Hits:
+    """One event's hits as numpy columns, one row per hit in file order.
+
+    Ids are exact int64. The truth file is joined in: has_truth marks hits
+    with a truth row, particle_id is 0 for noise or a missing truth row, and
+    pt is the particle's transverse momentum (NaN when the particle has no
+    row). layer_index is -1 until select_barrel_hits assigns it.
+    """
+
+    hit_id: np.ndarray
+    volume_id: np.ndarray
+    layer_id: np.ndarray
+    r: np.ndarray
+    phi: np.ndarray
+    z: np.ndarray
+    has_truth: np.ndarray
+    particle_id: np.ndarray
+    pt: np.ndarray
+    layer_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.hit_id)
+
+    def take(self, rows) -> Hits:
+        """The rows selected by an index array or a boolean mask, as copies."""
+        return Hits(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
@@ -89,18 +85,6 @@ class SelectionCuts:
             raise ValueError(f"unknown pt_mode {self.pt_mode!r}")
 
 
-@dataclass(slots=True)
-class Doublet:
-    src_hit: int  # hit id of the inner hit (smaller r)
-    dst_hit: int
-    dphi: float
-    dz: float
-    dr: float
-    z0: float
-    eta: float
-    label: Optional[bool] = None
-
-
 @dataclass
 class SubGraph:
     event_id: int
@@ -123,115 +107,126 @@ class LabelStats:
 # --- CSV loading -------------------------------------------------------------
 
 
-def _read_rows(path: str, required: Sequence[str]) -> Iterator[Tuple[float, ...]]:
-    """Yield the required columns of each data row as finite floats."""
+def _read_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[tuple]:
+    """The named columns of a CSV file, one tuple per column.
+
+    Each column is parsed with its type: int columns as exact 64-bit
+    integers, float columns as finite floats. The first column is an id and
+    must not repeat. Errors carry the file line.
+    """
     if not os.path.exists(path):
         raise IOError(f"no such file: {path}")
+    rows = []
+    seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None) or []
-        for col in required:
+        for col, _ in columns:
             if col not in header:
                 raise SchemaError(f"{path}: missing column '{col}'")
         # a repeated column name reads its last occurrence
-        index = [len(header) - 1 - header[::-1].index(col) for col in required]
-        lineno = 1
+        index = [len(header) - 1 - header[::-1].index(col) for col, _ in columns]
         for row in reader:
             if not row:
                 continue  # blank lines are not rows
-            lineno += 1
             values = []
-            for col, i in zip(required, index):
+            for (col, kind), i in zip(columns, index):
                 cell = row[i] if i < len(row) else None
                 try:
-                    value = float(cell)
+                    value = kind(cell)
                 except (TypeError, ValueError):
+                    what = "non-integer" if kind is int and cell is not None else "non-numeric"
                     raise ParseError(
-                        f"{path}:{lineno}: non-numeric value {cell!r} "
-                        f"in column '{col}'"
+                        f"{path}:{reader.line_num}: {what} value {cell!r} in column '{col}'"
                     )
-                if not math.isfinite(value):
+                if kind is float:
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"{path}:{reader.line_num}: non-finite value {cell!r} "
+                            f"in column '{col}'"
+                        )
+                elif not _INT64_MIN <= value <= _INT64_MAX:
                     raise ParseError(
-                        f"{path}:{lineno}: non-finite value {cell!r} "
-                        f"in column '{col}'"
+                        f"{path}:{reader.line_num}: value {cell!r} in column '{col}' "
+                        f"is outside the 64-bit range"
                     )
                 values.append(value)
-            yield tuple(values)
+            if values[0] in seen:
+                raise ParseError(
+                    f"{path}:{reader.line_num}: repeated {columns[0][0]} {values[0]}"
+                )
+            seen.add(values[0])
+            rows.append(values)
+    return list(zip(*rows)) if rows else [()] * len(columns)
 
 
-def load_event(hits_path: str, particles_path: str, truth_path: str) -> Event:
-    """Load a TrackML-convention CSV triplet into an Event."""
-    hits = [
-        Hit(int(hit_id), x, y, z, int(volume_id), int(layer_id))
-        for hit_id, x, y, z, volume_id, layer_id in _read_rows(
-            hits_path, ["hit_id", "x", "y", "z", "volume_id", "layer_id"]
-        )
-    ]
-    particles = {
-        int(pid): Particle(int(pid), px, py, pz)
-        for pid, px, py, pz in _read_rows(
-            particles_path, ["particle_id", "px", "py", "pz"]
-        )
-    }
-    truth = {
-        int(hit_id): int(pid)
-        for hit_id, pid in _read_rows(truth_path, ["hit_id", "particle_id"])
-    }
-    return Event(hits=hits, truth=truth, particles=particles)
+def _row_of(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row of each key among the distinct ids, or -1 where it is absent."""
+    rows = np.full(len(keys), -1, dtype=np.int64)
+    if len(ids):
+        order = np.argsort(ids)
+        pos = np.minimum(np.searchsorted(ids[order], keys), len(ids) - 1)
+        found = ids[order[pos]] == keys
+        rows[found] = order[pos[found]]
+    return rows
+
+
+def load_event(hits_path: str, particles_path: str, truth_path: str) -> Hits:
+    """Load a TrackML-convention CSV triplet into one Hits table."""
+    hit_id, x, y, z, volume_id, layer_id = _read_columns(
+        hits_path,
+        [("hit_id", int), ("x", float), ("y", float), ("z", float),
+         ("volume_id", int), ("layer_id", int)],
+    )
+    particle_id, px, py, _ = _read_columns(
+        particles_path, [("particle_id", int), ("px", float), ("py", float), ("pz", float)]
+    )
+    truth_hit, truth_particle = _read_columns(
+        truth_path, [("hit_id", int), ("particle_id", int)]
+    )
+
+    ids = np.array(hit_id, dtype=np.int64)
+    truth_row = _row_of(ids, np.array(truth_hit, dtype=np.int64))
+    has_truth = truth_row >= 0
+    pid = np.zeros(len(ids), dtype=np.int64)
+    pid[has_truth] = np.array(truth_particle, dtype=np.int64)[truth_row[has_truth]]
+    particle_row = _row_of(pid, np.array(particle_id, dtype=np.int64))
+    known = particle_row >= 0
+    pt = np.full(len(ids), np.nan)
+    pt[known] = np.array([math.hypot(a, b) for a, b in zip(px, py)])[particle_row[known]]
+    return Hits(
+        hit_id=ids,
+        volume_id=np.array(volume_id, dtype=np.int64),
+        layer_id=np.array(layer_id, dtype=np.int64),
+        r=np.array([math.hypot(a, b) for a, b in zip(x, y)], dtype=float),
+        phi=np.array([math.atan2(b, a) for a, b in zip(x, y)], dtype=float),
+        z=np.array(z, dtype=float),
+        has_truth=has_truth,
+        particle_id=pid,
+        pt=pt,
+        layer_index=np.full(len(ids), -1, dtype=np.int64),
+    )
 
 
 # --- selection and doublet building -----------------------------------------
 
 
-def select_barrel_hits(event: Event) -> List[Hit]:
-    """Keep barrel-volume hits and assign layer_index 0..N-1 by mean radius."""
-    kept = [h for h in event.hits if h.volume_id in BARREL_VOLUMES]
-    groups: Dict[Tuple[int, int], List[Hit]] = {}
-    for h in kept:
-        groups.setdefault((h.volume_id, h.layer_id), []).append(h)
-    ordered = sorted(
-        groups, key=lambda key: sum(h.r for h in groups[key]) / len(groups[key])
-    )
+def select_barrel_hits(hits: Hits) -> Hits:
+    """The barrel-volume hits, with layer_index 0..N-1 by mean layer radius."""
+    kept = hits.take(np.isin(hits.volume_id, BARREL_VOLUMES))
+    keys = list(zip(kept.volume_id.tolist(), kept.layer_id.tolist()))
+    radii: Dict[Tuple[int, int], List[float]] = {}
+    for key, r in zip(keys, kept.r.tolist()):
+        radii.setdefault(key, []).append(r)
+    ordered = sorted(radii, key=lambda key: sum(radii[key]) / len(radii[key]))
     index = {key: i for i, key in enumerate(ordered)}
-    for h in kept:
-        h.layer_index = index[(h.volume_id, h.layer_id)]
+    kept.layer_index = np.array([index[key] for key in keys], dtype=np.int64)
     return kept
 
 
-def wrap_phi(dphi: float) -> float:
-    """Wrap an angle difference into (-pi, pi]."""
-    while dphi <= -math.pi:
-        dphi += 2.0 * math.pi
-    while dphi > math.pi:
-        dphi -= 2.0 * math.pi
-    return dphi
-
-
-def doublet_geometry(src: Hit, dst: Hit) -> Tuple[float, float, float, float, float]:
-    """(dphi, dz, dr, z0, eta) for an inner->outer hit pair; dr must be > 0."""
-    dphi = wrap_phi(dst.phi - src.phi)
-    dz = dst.z - src.z
-    dr = dst.r - src.r
-    z0 = src.z - src.r * (dz / dr)
-    theta = math.atan2(dr, dz)
-    eta = -math.log(math.tan(theta / 2.0))
-    return dphi, dz, dr, z0, eta
-
-
-def passes_cuts(d: Doublet, cuts: SelectionCuts) -> bool:
-    if cuts.cut_mode == "slope":
-        if abs(d.dphi) / d.dr >= cuts.dphi_slope_max:
-            return False
-    else:
-        if abs(d.dphi) >= cuts.dphi_slope_max:
-            return False
-    if abs(d.z0) >= cuts.z0_max:
-        return False
-    return cuts.eta_range[0] <= d.eta <= cuts.eta_range[1]
-
-
 def _wrap_phi_array(dphi: np.ndarray) -> np.ndarray:
-    """wrap_phi elementwise, with the same float operations."""
+    """Wrap angle differences into (-pi, pi] one 2pi step at a time, with the
+    float operations of the scalar while-loop."""
     while (low := dphi <= -math.pi).any():
         dphi = np.where(low, dphi + _TWO_PI, dphi)
     while (high := dphi > math.pi).any():
@@ -239,26 +234,18 @@ def _wrap_phi_array(dphi: np.ndarray) -> np.ndarray:
     return dphi
 
 
-def _coords(layer: Sequence[Hit]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = len(layer)
-    return (
-        np.fromiter((h.r for h in layer), float, n),
-        np.fromiter((h.phi for h in layer), float, n),
-        np.fromiter((h.z for h in layer), float, n),
-    )
-
-
 def _layer_pair_doublets(
-    inner: Sequence[Hit],
-    outer: Sequence[Hit],
+    hits: Hits,
+    inner: np.ndarray,
+    outer: np.ndarray,
     cuts: SelectionCuts,
     stats: DoubletStats,
-    doublets: List[Doublet],
-) -> None:
-    """Append the doublets of one layer pair in all-pairs loop order
-    (inner hit, then outer hit, both in input order)."""
-    r_in, phi_in, z_in = _coords(inner)
-    r_out, phi_out, z_out = _coords(outer)
+) -> List[np.ndarray]:
+    """(src, dst) row pairs of one layer pair in all-pairs loop order (inner
+    hit, then outer hit, both in row order), as blocks. inner and outer are
+    the ascending rows of the two layers."""
+    r_in, phi_in = hits.r[inner], hits.phi[inner]
+    r_out, phi_out = hits.r[outer], hits.phi[outer]
 
     # Equal radii are counted over all pairs, inside the window or not.
     r_sorted = np.sort(r_out)
@@ -277,7 +264,7 @@ def _layer_pair_doublets(
         half = cuts.dphi_slope_max
     half = half * (1.0 + _WINDOW_REL) + _WINDOW_ABS
     if half >= math.pi:
-        # the window is the whole circle: every outer hit, in input order
+        # the window is the whole circle: every outer hit, in row order
         slot_to_outer = np.arange(len(outer))
         lo = np.zeros(len(inner), dtype=np.int64)
         hi = np.full(len(inner), len(outer), dtype=np.int64)
@@ -295,6 +282,7 @@ def _layer_pair_doublets(
     ends = np.cumsum(counts)
     stats.pairs_considered += int(ends[-1])
 
+    blocks = []
     start = 0
     while start < len(inner):
         # inner hits [start, stop) with about _BLOCK_PAIRS candidates in all
@@ -302,120 +290,88 @@ def _layer_pair_doublets(
         stop = max(int(np.searchsorted(ends, first + _BLOCK_PAIRS, "right")), start + 1)
         block = counts[start:stop]
         n = int(ends[stop - 1]) - first
-        i_in = np.repeat(np.arange(start, stop), block)
         offset = np.arange(n) - np.repeat(np.cumsum(block) - block, block)
-        i_out = slot_to_outer[np.repeat(lo[start:stop], block) + offset]
+        a = inner[np.repeat(np.arange(start, stop), block)]
+        b = outer[slot_to_outer[np.repeat(lo[start:stop], block) + offset]]
         start = stop
 
-        # Equal radii were counted above and make no doublet. The rest get
-        # the src/dst choice and float operations of doublet_geometry and
-        # passes_cuts, so these cuts agree with them bit for bit.
-        nonzero = r_in[i_in] != r_out[i_out]
-        i_in, i_out = i_in[nonzero], i_out[nonzero]
-        swap = r_in[i_in] > r_out[i_out]
-
-        def src_dst(col_in, col_out):
-            a, b = col_in[i_in], col_out[i_out]
-            return np.where(swap, b, a), np.where(swap, a, b)
-
-        src_r, dst_r = src_dst(r_in, r_out)
-        dr = dst_r - src_r
-        src_phi, dst_phi = src_dst(phi_in, phi_out)
-        abs_dphi = np.abs(_wrap_phi_array(dst_phi - src_phi))
+        # Equal radii were counted above and make no doublet. The hit with
+        # the smaller r is the src.
+        nonzero = hits.r[a] != hits.r[b]
+        a, b = a[nonzero], b[nonzero]
+        swap = hits.r[a] > hits.r[b]
+        src, dst = np.where(swap, b, a), np.where(swap, a, b)
+        dr = hits.r[dst] - hits.r[src]
+        abs_dphi = np.abs(_wrap_phi_array(hits.phi[dst] - hits.phi[src]))
         if cuts.cut_mode == "slope":
             ok = abs_dphi / dr < cuts.dphi_slope_max
         else:
             ok = abs_dphi < cuts.dphi_slope_max
-        src_z, dst_z = src_dst(z_in, z_out)
-        z0 = src_z - src_r * ((dst_z - src_z) / dr)
+        dz = hits.z[dst] - hits.z[src]
+        z0 = hits.z[src] - hits.r[src] * (dz / dr)
         ok &= np.abs(z0) < cuts.z0_max
 
-        i_in, i_out = i_in[ok], i_out[ok]
-        by_input = np.lexsort((i_out, i_in))  # the all-pairs loop order
-        for i, j in zip(i_in[by_input].tolist(), i_out[by_input].tolist()):
-            a, b = inner[i], outer[j]
-            src, dst = (a, b) if a.r <= b.r else (b, a)
-            d = Doublet(src.hit_id, dst.hit_id, *doublet_geometry(src, dst))
-            if passes_cuts(d, cuts):
-                doublets.append(d)
+        # Survivors in loop order (rows ascend within a layer). Eta stays on
+        # the math functions: numpy's tan and log need not give the same bits.
+        keep = np.flatnonzero(ok)
+        keep = keep[np.lexsort((b[keep], a[keep]))]
+        theta = [math.atan2(y, x) for y, x in zip(dr[keep].tolist(), dz[keep].tolist())]
+        eta = np.array([-math.log(math.tan(t / 2.0)) for t in theta], dtype=float)
+        keep = keep[(cuts.eta_range[0] <= eta) & (eta <= cuts.eta_range[1])]
+        blocks.append(np.stack((src[keep], dst[keep]), axis=1))
+    return blocks
 
 
-def build_doublets(
-    hits: Sequence[Hit], cuts: SelectionCuts
-) -> Tuple[List[Doublet], DoubletStats]:
+def build_doublets(hits: Hits, cuts: SelectionCuts) -> Tuple[np.ndarray, DoubletStats]:
     """All consecutive-layer hit pairs that survive the geometric cuts.
 
-    For each layer pair, a phi-window search over the phi-sorted outer layer
-    finds the candidate partners of each inner hit. Exact numpy copies of
-    the dr, dphi and z0 cuts thin the candidates; doublet_geometry and
-    passes_cuts decide the rest. Doublets, their order and every field are
-    those of testing all pairs; pairs_considered counts window candidates,
-    zero_dr_skipped all equal-radius pairs.
+    Returns an int64 array of (src, dst) row indices, src the hit with the
+    smaller r. For each layer pair, a phi-window search over the phi-sorted
+    outer layer finds the candidate partners of each inner hit, and numpy
+    applies the dr, dphi and z0 cuts to them; eta is computed per survivor.
+    The pairs and their order are those of testing all pairs; pairs_considered
+    counts window candidates, zero_dr_skipped all equal-radius pairs.
     """
-    layers: Dict[int, List[Hit]] = {}
-    for h in hits:
-        if h.layer_index < 0:
-            raise DataError(f"hit {h.hit_id} has no layer_index; select first")
-        if not (math.isfinite(h.r) and math.isfinite(h.phi) and math.isfinite(h.z)):
-            raise DataError(
-                f"hit {h.hit_id} has a non-finite coordinate "
-                f"(r={h.r!r}, phi={h.phi!r}, z={h.z!r})"
-            )
-        layers.setdefault(h.layer_index, []).append(h)
+    unselected = np.flatnonzero(hits.layer_index < 0)
+    if len(unselected):
+        raise DataError(f"hit {hits.hit_id[unselected[0]]} has no layer_index; select first")
+    finite = np.isfinite(hits.r) & np.isfinite(hits.phi) & np.isfinite(hits.z)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataError(
+            f"hit {hits.hit_id[i]} has a non-finite coordinate "
+            f"(r={float(hits.r[i])!r}, phi={float(hits.phi[i])!r}, z={float(hits.z[i])!r})"
+        )
 
+    layers = {k: np.flatnonzero(hits.layer_index == k) for k in set(hits.layer_index.tolist())}
     stats = DoubletStats()
-    doublets: List[Doublet] = []
+    blocks = [np.empty((0, 2), dtype=np.int64)]
     for k in sorted(layers):
         if k + 1 in layers:
-            _layer_pair_doublets(layers[k], layers[k + 1], cuts, stats, doublets)
-    return doublets, stats
+            blocks += _layer_pair_doublets(hits, layers[k], layers[k + 1], cuts, stats)
+    return np.concatenate(blocks), stats
 
 
 def label_edges(
-    doublets: Sequence[Doublet],
-    truth: Dict[int, int],
-    particles: Dict[int, Particle],
-    cuts: SelectionCuts,
-) -> Tuple[List[Doublet], LabelStats]:
-    """Set each doublet's truth label in place.
+    pairs: np.ndarray, hits: Hits, cuts: SelectionCuts
+) -> Tuple[np.ndarray, LabelStats]:
+    """The truth label of each (src, dst) row pair, as a bool array.
 
-    True iff both hits map to the same non-noise particle whose pt exceeds
-    cuts.pt_min. Hits missing from the truth map count as noise.
+    True iff both hits belong to the same non-noise particle whose pt exceeds
+    cuts.pt_min. Hits without a truth row count as noise.
     """
-    stats = LabelStats()
-    for d in doublets:
-        pid_a = truth.get(d.src_hit)
-        pid_b = truth.get(d.dst_hit)
-        if pid_a is None or pid_b is None:
-            stats.missing_truth += 1
-            d.label = False
-            continue
-        if pid_a != pid_b or pid_a == 0:
-            d.label = False
-            continue
-        particle = particles.get(pid_a)
-        d.label = particle is not None and particle.pt > cuts.pt_min
-    return list(doublets), stats
+    src, dst = pairs[:, 0], pairs[:, 1]
+    pid = hits.particle_id[src]
+    labels = (pid != 0) & (pid == hits.particle_id[dst]) & (hits.pt[src] > cuts.pt_min)
+    missing = ~(hits.has_truth[src] & hits.has_truth[dst])
+    return labels, LabelStats(missing_truth=int(missing.sum()))
 
 
-def filter_low_pt_hits(
-    hits: Sequence[Hit],
-    truth: Dict[int, int],
-    particles: Dict[int, Particle],
-    pt_min: float,
-) -> List[Hit]:
+def filter_low_pt_hits(hits: Hits, pt_min: float) -> Hits:
     """Stricter pt_mode="filter" variant: drop hits whose particle has
-    pt <= pt_min. Noise hits (particle 0 or missing truth) are kept."""
-    kept = []
-    for h in hits:
-        pid = truth.get(h.hit_id, 0)
-        if pid == 0:
-            kept.append(h)
-            continue
-        particle = particles.get(pid)
-        if particle is None or particle.pt > pt_min:
-            kept.append(h)
-    return kept
+    pt <= pt_min. Noise hits (particle 0 or missing truth) and hits of
+    particles without a row are kept."""
+    return hits.take((hits.particle_id == 0) | np.isnan(hits.pt) | (hits.pt > pt_min))
 
 
 # --- sectioning --------------------------------------------------------------
@@ -431,35 +387,28 @@ def sector_of(phi: float, z: float) -> Tuple[int, int]:
 
 
 def section_graph(
-    hits: Sequence[Hit], doublets: Sequence[Doublet], event_id: int = 0
+    hits: Hits, pairs: np.ndarray, labels: np.ndarray, event_id: int = 0
 ) -> Tuple[List[SubGraph], int]:
     """Split one event into exactly 16 SubGraphs.
 
-    Returns the subgraphs and the number of cross-sector edges dropped.
+    Nodes keep row order within each sector, edges keep pair order. Returns
+    the subgraphs and the number of cross-sector edges dropped.
     """
-    subgraphs = [
-        SubGraph(event_id, (p, zh), [], [])
-        for p in range(N_PHI_SECTORS)
-        for zh in range(N_Z_HALVES)
-    ]
-    by_sector = {g.sector: g for g in subgraphs}
-
-    local: Dict[int, Tuple[Tuple[int, int], int]] = {}
-    for h in hits:
-        sec = sector_of(h.phi, h.z)
-        g = by_sector[sec]
-        local[h.hit_id] = (sec, len(g.nodes))
-        g.nodes.append((h.r, h.phi, h.z))
-
-    dropped = 0
-    for d in doublets:
-        sec_a, src = local[d.src_hit]
-        sec_b, dst = local[d.dst_hit]
-        if sec_a != sec_b:
-            dropped += 1
-            continue
-        by_sector[sec_a].edges.append((src, dst, int(bool(d.label))))
-    return subgraphs, dropped
+    sectors = map(sector_of, hits.phi.tolist(), hits.z.tolist())
+    sector = np.array([N_Z_HALVES * k + half for k, half in sectors], dtype=np.int64)
+    src, dst = pairs[:, 0], pairs[:, 1]
+    kept = sector[src] == sector[dst]
+    local = np.empty(len(hits), dtype=np.int64)
+    subgraphs = []
+    for s in range(N_PHI_SECTORS * N_Z_HALVES):
+        rows = np.flatnonzero(sector == s)
+        local[rows] = np.arange(len(rows))
+        nodes = list(zip(hits.r[rows].tolist(), hits.phi[rows].tolist(), hits.z[rows].tolist()))
+        edge = kept & (sector[src] == s)
+        label = labels[edge].astype(np.int64)
+        edges = list(zip(local[src[edge]].tolist(), local[dst[edge]].tolist(), label.tolist()))
+        subgraphs.append(SubGraph(event_id, divmod(s, N_Z_HALVES), nodes, edges))
+    return subgraphs, int(len(pairs) - kept.sum())
 
 
 # --- subgraph serialization --------------------------------------------------

@@ -8,13 +8,14 @@ circuit gradient) and applied once. Metrics are confusion-matrix based.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .hitgraph import SubGraph
+from .hitgraph import SubGraph, subgraph_dirname
 from .statevector import ShotConfig
 from .ttn import FeatureScaler, TTNParams, ttn_forward, ttn_gradient
 
@@ -81,10 +82,6 @@ class EpochRecord:
 class History:
     updates: List[UpdateRecord] = field(default_factory=list)
     epochs: List[EpochRecord] = field(default_factory=list)
-
-
-def subgraph_id(g: SubGraph) -> str:
-    return f"evt{g.event_id}_s{g.sector[0]}{g.sector[1]}"
 
 
 def edge_raw_features(
@@ -187,6 +184,23 @@ def subgraph_step(
     return new_params, loss_sum / n
 
 
+def edge_predictions(
+    subgraphs: Sequence[SubGraph],
+    params: TTNParams,
+    scaler: FeatureScaler,
+    shots: Optional[ShotConfig] = None,
+) -> Iterator[Tuple[SubGraph, Tuple[int, int, int], float]]:
+    """(subgraph, edge, pred) for every edge of every subgraph, in order.
+
+    In shot mode each edge gets its own derived seed (shots.seed + edge index)
+    so estimates are independent yet reproducible.
+    """
+    edges = ((g, edge) for g in subgraphs for edge in g.edges)
+    for n, (g, edge) in enumerate(edges):
+        edge_shots = ShotConfig(shots.n_shots, shots.seed + n) if shots else None
+        yield g, edge, ttn_forward(edge_raw_features(g, edge), params, scaler, edge_shots)
+
+
 def evaluate_metrics(
     subgraphs: Sequence[SubGraph],
     params: TTNParams,
@@ -194,30 +208,19 @@ def evaluate_metrics(
     threshold: float = 0.5,
     shots: Optional[ShotConfig] = None,
 ) -> Metrics:
-    """Confusion counts over all edges; predicted true when pred >= threshold.
-
-    In shot mode each edge gets its own derived seed (shots.seed + edge index)
-    so estimates are independent yet reproducible.
-    """
-    tp = fp = tn = fn = 0
-    n_edges = 0
-    for g in subgraphs:
-        for edge in g.edges:
-            edge_shots = (
-                ShotConfig(shots.n_shots, shots.seed + n_edges) if shots else None
-            )
-            n_edges += 1
-            pred = ttn_forward(edge_raw_features(g, edge), params, scaler, edge_shots)
-            predicted = pred >= threshold
-            if edge[2]:
-                tp += predicted
-                fn += not predicted
-            else:
-                fp += predicted
-                tn += not predicted
-    if n_edges == 0:
+    """Confusion counts over all edges; predicted true when pred >= threshold."""
+    counts = Counter(
+        (bool(edge[2]), bool(pred >= threshold))
+        for _, edge, pred in edge_predictions(subgraphs, params, scaler, shots)
+    )
+    if not counts:
         raise DataError("no edges to evaluate")
-    return Metrics(tp=int(tp), fp=int(fp), tn=int(tn), fn=int(fn))
+    return Metrics(
+        tp=counts[True, True],
+        fp=counts[False, True],
+        tn=counts[False, False],
+        fn=counts[True, False],
+    )
 
 
 def train(
@@ -247,9 +250,9 @@ def train(
             if not math.isfinite(loss) or not np.all(np.isfinite(params.thetas)):
                 raise NumericError(
                     f"non-finite loss or parameters at update {update} "
-                    f"(subgraph {subgraph_id(g)})"
+                    f"(subgraph {subgraph_dirname(g)})"
                 )
-            history.updates.append(UpdateRecord(update, subgraph_id(g), loss))
+            history.updates.append(UpdateRecord(update, subgraph_dirname(g), loss))
             epoch_losses.append(loss)
             update += 1
         metrics = (

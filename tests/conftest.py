@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qseed.hitgraph import SubGraph
+from qseed.hitgraph import Hits, SubGraph
 from qseed.statevector import GateOp
 
 
@@ -65,3 +67,98 @@ def random_subgraph(rng):
         nodes,
         edges,
     )
+
+
+# --- hit tables and the scalar doublet reference ------------------------------
+
+
+def make_hits(rows, truth=None):
+    """A barrel Hits table from (hit_id, x, y, z, layer_index) rows, with r
+    and phi derived as load_event derives them. truth maps hit_id ->
+    (particle_id, pt), pt NaN for a particle without a row; other hits have
+    no truth row."""
+    truth = truth or {}
+    hit_id, x, y, z, layer_index = (list(col) for col in zip(*rows))
+    joined = [truth.get(h, (0, math.nan)) for h in hit_id]
+    return Hits(
+        hit_id=np.array(hit_id, dtype=np.int64),
+        volume_id=np.full(len(rows), 8, dtype=np.int64),
+        layer_id=2 * np.array(layer_index, dtype=np.int64) + 2,
+        r=np.array([math.hypot(a, b) for a, b in zip(x, y)]),
+        phi=np.array([math.atan2(b, a) for a, b in zip(x, y)]),
+        z=np.array(z, dtype=float),
+        has_truth=np.array([h in truth for h in hit_id], dtype=bool),
+        particle_id=np.array([p for p, _ in joined], dtype=np.int64),
+        pt=np.array([pt for _, pt in joined], dtype=float),
+        layer_index=np.array(layer_index, dtype=np.int64),
+    )
+
+
+def cyl(hit_id, r, phi, z, layer_index):
+    """A make_hits row for a hit given in cylindrical coordinates."""
+    return (hit_id, r * math.cos(phi), r * math.sin(phi), z, layer_index)
+
+
+def wrap_phi(dphi):
+    """Wrap an angle difference into (-pi, pi]."""
+    while dphi <= -math.pi:
+        dphi += 2.0 * math.pi
+    while dphi > math.pi:
+        dphi -= 2.0 * math.pi
+    return dphi
+
+
+def doublet_geometry(src, dst):
+    """(dphi, dz, dr, z0, eta) for inner -> outer (r, phi, z) float triples;
+    dr must be > 0."""
+    (src_r, src_phi, src_z), (dst_r, dst_phi, dst_z) = src, dst
+    dphi = wrap_phi(dst_phi - src_phi)
+    dz = dst_z - src_z
+    dr = dst_r - src_r
+    z0 = src_z - src_r * (dz / dr)
+    theta = math.atan2(dr, dz)
+    eta = -math.log(math.tan(theta / 2.0))
+    return dphi, dz, dr, z0, eta
+
+
+def passes_cuts(geometry, cuts):
+    dphi, _, dr, z0, eta = geometry
+    if cuts.cut_mode == "slope":
+        if abs(dphi) / dr >= cuts.dphi_slope_max:
+            return False
+    else:
+        if abs(dphi) >= cuts.dphi_slope_max:
+            return False
+    if abs(z0) >= cuts.z0_max:
+        return False
+    return cuts.eta_range[0] <= eta <= cuts.eta_range[1]
+
+
+def hit_coords(hits):
+    """(r, phi, z) of each row as plain floats."""
+    return list(zip(hits.r.tolist(), hits.phi.tolist(), hits.z.tolist()))
+
+
+def all_pairs_doublets(hits, cuts):
+    """Reference doublet builder: every consecutive-layer pair, in loop order.
+
+    Returns the (src, dst) row pairs, the number of equal-radius pairs and
+    the number of pairs tested."""
+    coords = hit_coords(hits)
+    layers = {}
+    for row, k in enumerate(hits.layer_index.tolist()):
+        layers.setdefault(k, []).append(row)
+    pairs, zero_dr, tested = [], 0, 0
+    for k in sorted(layers):
+        if k + 1 not in layers:
+            continue
+        for inner in layers[k]:
+            for outer in layers[k + 1]:
+                tested += 1
+                src, dst = (inner, outer) if coords[inner][0] <= coords[outer][0] else (outer, inner)
+                if coords[dst][0] == coords[src][0]:
+                    zero_dr += 1
+                    continue
+                if passes_cuts(doublet_geometry(coords[src], coords[dst]), cuts):
+                    pairs.append((src, dst))
+    return pairs, zero_dr, tested

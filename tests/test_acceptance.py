@@ -23,7 +23,14 @@ from qseed.statevector import (
     sample_shots,
 )
 
-from conftest import make_separable_subgraphs, random_circuit, random_subgraph
+from conftest import (
+    doublet_geometry,
+    hit_coords,
+    make_separable_subgraphs,
+    passes_cuts,
+    random_circuit,
+    random_subgraph,
+)
 
 
 def report(criterion, ok, detail=""):
@@ -136,21 +143,24 @@ def test_criterion_6_cut_engine(tmp_path):
         data = synthgen.gen_event(synthgen.GeneratorConfig(n_tracks=50, noise_hits=0, seed=event_seed))
         paths = synthgen.event_paths(str(tmp_path), event_seed + 1)
         synthgen.write_event(data, *paths)
-        event = hg.load_event(*paths)
-        hits = hg.select_barrel_hits(event)
-        doublets, _ = hg.build_doublets(hits, cuts)
-        hg.label_edges(doublets, event.truth, event.particles, cuts)
-        violations += sum(not hg.passes_cuts(d, cuts) for d in doublets)
+        hits = hg.select_barrel_hits(hg.load_event(*paths))
+        pairs, _ = hg.build_doublets(hits, cuts)
+        labels, _ = hg.label_edges(pairs, hits, cuts)
+        coords = hit_coords(hits)
+        violations += sum(
+            not passes_cuts(doublet_geometry(coords[src], coords[dst]), cuts)
+            for src, dst in pairs.tolist()
+        )
 
         per_particle = {}
-        for h in hits:
-            per_particle.setdefault(event.truth[h.hit_id], {})[h.layer_index] = h.hit_id
+        for pid, k, hit_id in zip(hits.particle_id.tolist(), hits.layer_index.tolist(), hits.hit_id.tolist()):
+            per_particle.setdefault(pid, {})[k] = hit_id
         expected = set()
         for layers in per_particle.values():
             for k in layers:
                 if k + 1 in layers:
                     expected.add((layers[k], layers[k + 1]))
-        got = {(d.src_hit, d.dst_hit) for d in doublets if d.label}
+        got = {tuple(p) for p in hits.hit_id[pairs[labels]].tolist()}
         n_expected += len(expected)
         n_found += len(expected & got)
     elapsed = time.perf_counter() - t0

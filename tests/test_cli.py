@@ -110,6 +110,38 @@ class TestPreprocess:
         assert f"event000000001-hits.csv:4: non-finite value '{cell}' in column 'x'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("hit_id", ["1", "9223372036854775808", "1.5"])
+    def test_repeated_or_bad_hit_id_is_data_error(self, tmp_path, events_dir, capsys, hit_id):
+        hits = events_dir / "event000000001-hits.csv"
+        lines = hits.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[0] = hit_id  # the third hit; "1" repeats the first
+        lines[3] = ",".join(fields)
+        hits.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "event000000001-hits.csv:4: " in err
+        assert ("repeated hit_id 1" if hit_id == "1" else f"value '{hit_id}' in column 'hit_id'") in err
+        assert "Traceback" not in err
+
+    def test_ids_beyond_2_53_stay_distinct(self, tmp_path, capsys):
+        # As floats both ids read 22525763437723648: one particle, a true edge.
+        a, b = 22525763437723648, 22525763437723649
+        events = tmp_path / "ev"
+        events.mkdir()
+        (events / "event000000001-hits.csv").write_text(
+            f"hit_id,x,y,z,volume_id,layer_id\n{a},32.0,0.0,0.0,8,2\n{b},72.0,0.0,0.0,8,4\n"
+        )
+        (events / "event000000001-particles.csv").write_text(
+            f"particle_id,px,py,pz\n{a},2.0,0.0,0.0\n{b},2.0,0.0,0.0\n"
+        )
+        (events / "event000000001-truth.csv").write_text(f"hit_id,particle_id\n{a},{a}\n{b},{b}\n")
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events, "--out", tmp_path / "s"]) == 0
+        assert "2 hits kept, 1 doublets (0 true / 1 fake), 0 cross-sector dropped" in capsys.readouterr().out
+        assert (tmp_path / "s" / "evt1_s41" / "edges.csv").read_text() == "src,dst,label\n0,1,0\n"
+
 
 class TestTrain:
     def test_outputs_and_zero_lr(self, tmp_path, subgraphs_dir):
@@ -184,6 +216,20 @@ class TestEvalPredict:
         for line in lines[1:]:
             pred = float(line.rsplit(",", 1)[1])
             assert 0.0 <= pred <= 1.0
+
+    def test_predict_shots_match_eval_counts(self, tmp_path, subgraphs_dir, model_dir):
+        flags = ["--data", subgraphs_dir, "--model", model_dir / "model.txt", "--shots", "100", "--shot-seed", "3"]
+        assert run(["eval", *flags, "--out", tmp_path / "e"]) == 0
+        assert run(["predict", *flags, "--out", tmp_path / "p"]) == 0
+        counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        for line in (tmp_path / "p" / "predictions.csv").read_text().splitlines()[1:]:
+            *_, label, pred = line.split(",")
+            predicted = float(pred) >= 0.5
+            counts[("t" if predicted == (label == "1") else "f") + ("p" if predicted else "n")] += 1
+        header, values = (tmp_path / "e" / "metrics.csv").read_text().splitlines()
+        metrics = dict(zip(header.split(","), values.split(",")))
+        assert counts == {k: int(metrics[k]) for k in counts}
+        assert counts["tp"] + counts["fn"] > 0 and counts["fp"] + counts["tn"] > 0
 
 
 class TestConfigFile:

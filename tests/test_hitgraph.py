@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from qseed.errors import DataError, ParseError, SchemaError
 from qseed import hitgraph as hg
 from qseed import synthgen
 
-from conftest import random_subgraph
+from conftest import (
+    all_pairs_doublets,
+    cyl,
+    doublet_geometry,
+    hit_coords,
+    make_hits,
+    passes_cuts,
+    random_subgraph,
+)
 
 
 def write_event_files(tmp_path, hits_rows, particle_rows, truth_rows):
@@ -41,51 +50,23 @@ def synthetic_event(tmp_path, seed=0, n_tracks=10, noise=0, **kwargs):
 
 GENEROUS = hg.SelectionCuts(pt_min=0.1, dphi_slope_max=0.5, z0_max=1e5, eta_range=(-6, 6))
 RAW = hg.SelectionCuts(cut_mode="raw", dphi_slope_max=0.05)
+NARROW_ETA = hg.SelectionCuts(pt_min=0.1, dphi_slope_max=0.5, z0_max=1e5, eta_range=(-0.3, 0.4))
+NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 
 
-def all_pairs_doublets(hits, cuts):
-    """Reference doublet builder: every consecutive-layer pair, in loop order."""
-    layers = {}
-    for h in hits:
-        layers.setdefault(h.layer_index, []).append(h)
-    doublets, zero_dr, pairs = [], 0, 0
-    for k in sorted(layers):
-        if k + 1 not in layers:
-            continue
-        for inner in layers[k]:
-            for outer in layers[k + 1]:
-                pairs += 1
-                src, dst = (inner, outer) if inner.r <= outer.r else (outer, inner)
-                if dst.r == src.r:
-                    zero_dr += 1
-                    continue
-                d = hg.Doublet(src.hit_id, dst.hit_id, *hg.doublet_geometry(src, dst))
-                if hg.passes_cuts(d, cuts):
-                    doublets.append(d)
-    return doublets, zero_dr, pairs
-
-
-def doublet_bits(doublets):
-    """Every field of every doublet, floats as exact hex, in order."""
-    return [
-        (d.src_hit, d.dst_hit, *(x.hex() for x in (d.dphi, d.dz, d.dr, d.z0, d.eta)), d.label)
-        for d in doublets
-    ]
+def id_pairs(hits, pairs):
+    """(src hit_id, dst hit_id) of each row pair, in order."""
+    return [tuple(p) for p in hits.hit_id[pairs].tolist()]
 
 
 def assert_matches_all_pairs(hits, cuts):
     got, stats = hg.build_doublets(hits, cuts)
     want, zero_dr, pairs = all_pairs_doublets(hits, cuts)
-    assert doublet_bits(got) == doublet_bits(want)
+    assert got.dtype == np.int64 and got.shape == (len(want), 2)
+    assert [tuple(p) for p in got.tolist()] == want
     assert stats.zero_dr_skipped == zero_dr
     assert stats.pairs_considered <= pairs
     return got, stats, pairs
-
-
-def cyl_hit(hit_id, r, phi, z, layer_index):
-    h = hg.Hit(hit_id, r * math.cos(phi), r * math.sin(phi), z, 8, 2 * layer_index + 2)
-    h.layer_index = layer_index
-    return h
 
 
 class TestLoadEvent:
@@ -96,29 +77,91 @@ class TestLoadEvent:
             [(42, 1.0, 1.0, 0.5)],
             [(1, 42), (2, 42), (3, 0)],
         )
-        event = hg.load_event(*paths)
-        assert len(event.hits) == 3
-        assert event.truth == {1: 42, 2: 42, 3: 0}
-        assert event.particles[42].pt == pytest.approx(math.sqrt(2.0))
+        hits = hg.load_event(*paths)
+        assert len(hits) == 3
+        assert hits.hit_id.tolist() == [1, 2, 3]
+        assert hits.volume_id.tolist() == [8, 13, 7]
+        assert hits.layer_id.tolist() == [2, 4, 2]
+        assert hits.z.tolist() == [5.0, -3.0, 0.0]
+        assert hits.has_truth.all()
+        assert hits.particle_id.tolist() == [42, 42, 0]
+        assert hits.pt[:2].tolist() == pytest.approx([math.sqrt(2.0)] * 2)
+        assert math.isnan(hits.pt[2])
+        assert (hits.layer_index == -1).all()
 
     def test_derived_cylindrical(self, tmp_path):
         paths = write_event_files(tmp_path, [(1, 3.0, 4.0, 0.0, 8, 2)], [], [(1, 0)])
-        hit = hg.load_event(*paths).hits[0]
-        assert hit.r == pytest.approx(5.0)
-        assert hit.phi == pytest.approx(math.atan2(4.0, 3.0))
+        hits = hg.load_event(*paths)
+        assert hits.r[0] == pytest.approx(5.0)
+        assert hits.phi[0] == pytest.approx(math.atan2(4.0, 3.0))
+
+    def test_truth_join_without_rows(self, tmp_path):
+        # hit 2 has no truth row, hit 3's particle has no particle row
+        paths = write_event_files(
+            tmp_path,
+            [(1, 32.0, 0.0, 0.0, 8, 2), (2, 72.0, 0.0, 0.0, 8, 4), (3, 116.0, 0.0, 0.0, 8, 6)],
+            [(5, 3.0, 4.0, 0.0)],
+            [(1, 5), (3, 6), (99, 5)],
+        )
+        hits = hg.load_event(*paths)
+        assert hits.has_truth.tolist() == [True, False, True]
+        assert hits.particle_id.tolist() == [5, 0, 6]
+        assert hits.pt[0] == 5.0 and math.isnan(hits.pt[1]) and math.isnan(hits.pt[2])
+
+    def test_ids_are_exact_64_bit_integers(self, tmp_path):
+        big = 2**63 - 1
+        paths = write_event_files(
+            tmp_path,
+            [(big, 32.0, 0.0, 0.0, 8, 2), (22525763437723649, 72.0, 0.0, 0.0, 8, 4)],
+            [(big, 2.0, 0.0, 0.0), (22525763437723648, 2.0, 0.0, 0.0)],
+            [(big, 22525763437723648), (22525763437723649, big)],
+        )
+        hits = hg.load_event(*paths)
+        assert hits.hit_id.dtype == np.int64
+        assert hits.hit_id.tolist() == [big, 22525763437723649]
+        assert hits.particle_id.tolist() == [22525763437723648, big]
+        assert hits.pt.tolist() == [2.0, 2.0]
+
+    @pytest.mark.parametrize("cell", ["1.5", "1e3", "", "9223372036854775808", "-9223372036854775809"])
+    @pytest.mark.parametrize(
+        "file, column",
+        [("hits", "hit_id"), ("hits", "layer_id"), ("particles", "particle_id"), ("truth", "particle_id")],
+    )
+    def test_bad_id_cell_is_rejected(self, tmp_path, file, column, cell):
+        rows = {
+            "hits": {"hit_id": 1, "x": 32.0, "y": 0.0, "z": 0.0, "volume_id": 8, "layer_id": 2},
+            "particles": {"particle_id": 5, "px": 1.0, "py": 0.0, "pz": 0.0},
+            "truth": {"hit_id": 1, "particle_id": 5},
+        }
+        rows[file][column] = cell
+        paths = write_event_files(tmp_path, *([tuple(rows[f].values())] for f in ("hits", "particles", "truth")))
+        with pytest.raises(ParseError, match=rf"{file}\.csv:2: .*value {re.escape(repr(cell))} in column '{column}'"):
+            hg.load_event(*paths)
+
+    @pytest.mark.parametrize("file", ["hits", "particles", "truth"])
+    def test_repeated_id_is_rejected(self, tmp_path, file):
+        rows = {
+            "hits": [(1, 32.0, 0.0, 0.0, 8, 2), (2, 72.0, 0.0, 0.0, 8, 4)],
+            "particles": [(5, 1.0, 0.0, 0.0), (6, 1.0, 0.0, 0.0)],
+            "truth": [(1, 5), (2, 6)],
+        }
+        rows[file].append(rows[file][0])
+        paths = write_event_files(tmp_path, rows["hits"], rows["particles"], rows["truth"])
+        column = "particle_id" if file == "particles" else "hit_id"
+        with pytest.raises(ParseError, match=rf"{file}\.csv:4: repeated {column} {rows[file][0][0]}$"):
+            hg.load_event(*paths)
 
     def test_noise_hit_never_true(self, tmp_path):
         paths = write_event_files(
             tmp_path,
             [(7, 32.0, 0.0, 0.0, 8, 2), (8, 72.0, 0.0, 0.0, 8, 4)],
-            [],
+            [(0, 5.0, 0.0, 0.0)],  # even a high-pt row for particle 0
             [(7, 0), (8, 0)],
         )
-        event = hg.load_event(*paths)
-        hits = hg.select_barrel_hits(event)
-        doublets, _ = hg.build_doublets(hits, GENEROUS)
-        doublets, _ = hg.label_edges(doublets, event.truth, event.particles, GENEROUS)
-        assert doublets and all(d.label is False for d in doublets)
+        hits = hg.select_barrel_hits(hg.load_event(*paths))
+        pairs, _ = hg.build_doublets(hits, GENEROUS)
+        labels, _ = hg.label_edges(pairs, hits, GENEROUS)
+        assert len(labels) and not labels.any()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IOError):
@@ -158,6 +201,13 @@ class TestLoadEvent:
         with pytest.raises(ParseError, match=r"hits\.csv:3"):
             hg.load_event(str(bad), str(other), str(other))
 
+    def test_error_names_the_file_line_after_blank_lines(self, tmp_path):
+        bad = tmp_path / "hits.csv"
+        bad.write_text("hit_id,x,y,z,volume_id,layer_id\n1,0,0,0,8,2\n\n\n2,oops,0,0,8,2\n")
+        other = tmp_path / "o.csv"
+        with pytest.raises(ParseError, match=r"hits\.csv:5: non-numeric value 'oops' in column 'x'"):
+            hg.load_event(str(bad), str(other), str(other))
+
 
 class TestSelectBarrelHits:
     def test_volume_filter(self, tmp_path):
@@ -167,24 +217,47 @@ class TestSelectBarrelHits:
             [],
             [(1, 0), (2, 0), (3, 0)],
         )
-        kept = hg.select_barrel_hits(hg.load_event(*paths))
-        assert [h.hit_id for h in kept] == [2]
+        hits = hg.load_event(*paths)
+        kept = hg.select_barrel_hits(hits)
+        assert kept.hit_id.tolist() == [2]
+        assert kept.layer_index.tolist() == [0]
+        assert len(hits) == 3 and (hits.layer_index == -1).all()  # input untouched
+
+    def test_layer_index_by_mean_radius_then_first_seen(self, tmp_path):
+        # (8, 2) has mean r 40 but its first hit at r 100; (17, 2) ties it
+        paths = write_event_files(
+            tmp_path,
+            [(1, 100.0, 0.0, 0.0, 8, 2), (2, 50.0, 0.0, 0.0, 13, 2), (3, 10.0, 0.0, 0.0, 8, 2),
+             (4, 40.0, 0.0, 0.0, 17, 2), (5, 10.0, 0.0, 0.0, 8, 2)],
+            [],
+            [],
+        )
+        hits = hg.select_barrel_hits(hg.load_event(*paths))
+        assert hits.layer_index.tolist() == [0, 2, 0, 1, 0]
 
     def test_layer_index_follows_radius_order(self, tmp_path):
-        event = synthetic_event(tmp_path, seed=3, n_tracks=30)
-        hits = hg.select_barrel_hits(event)
+        hits = hg.select_barrel_hits(synthetic_event(tmp_path, seed=3, n_tracks=30))
         radii = synthgen.DEFAULT_LAYER_RADII
-        for h in hits:
-            assert h.r == pytest.approx(radii[h.layer_index], abs=1e-6)
+        for r, k in zip(hits.r.tolist(), hits.layer_index.tolist()):
+            assert r == pytest.approx(radii[k], abs=1e-6)
+
+
+def test_filter_low_pt_hits():
+    # noise, low pt, high pt, particle without a row, no truth row
+    hits = make_hits(
+        [cyl(i, 32.0, 0.1 * i, 0.0, 0) for i in range(1, 6)],
+        truth={1: (0, math.nan), 2: (7, 0.9), 3: (8, 1.1), 4: (9, math.nan)},
+    )
+    kept = hg.filter_low_pt_hits(hits, 1.0)
+    assert kept.hit_id.tolist() == [1, 3, 4, 5]
+    assert len(hits) == 5  # input untouched
 
 
 class TestBuildDoublets:
     def test_non_adjacent_layers_skipped(self):
-        a = hg.Hit(1, 32.0, 0.0, 0.0, 8, 2)
-        b = hg.Hit(2, 116.0, 0.0, 0.0, 8, 6)
-        a.layer_index, b.layer_index = 0, 2
-        doublets, _ = hg.build_doublets([a, b], GENEROUS)
-        assert doublets == []
+        hits = make_hits([(1, 32.0, 0.0, 0.0, 0), (2, 116.0, 0.0, 0.0, 2)])
+        pairs, _ = hg.build_doublets(hits, GENEROUS)
+        assert pairs.shape == (0, 2)
 
     def test_radially_aligned_pair_passes(self, tmp_path):
         paths = write_event_files(
@@ -194,41 +267,41 @@ class TestBuildDoublets:
             [(1, 0), (2, 0)],
         )
         hits = hg.select_barrel_hits(hg.load_event(*paths))
-        doublets, _ = hg.build_doublets(hits, hg.SelectionCuts())
-        assert len(doublets) == 1
-        d = doublets[0]
-        assert d.dphi == 0.0 and d.z0 == 0.0 and d.eta == pytest.approx(0.0)
+        pairs, _ = hg.build_doublets(hits, hg.SelectionCuts())
+        assert pairs.tolist() == [[0, 1]]
+        dphi, _, _, z0, eta = doublet_geometry(*hit_coords(hits))
+        assert dphi == 0.0 and z0 == 0.0 and eta == pytest.approx(0.0)
 
     def test_slope_cut_rejects(self):
         # dphi = 0.1 rad over dr = 40 mm -> slope 0.0025 > 0.0006
-        src = hg.Hit(1, 32.0, 0.0, 0.0, 8, 2)
-        dst = hg.Hit(2, 72.0 * math.cos(0.1), 72.0 * math.sin(0.1), 0.0, 8, 4)
-        src.layer_index, dst.layer_index = 0, 1
-        doublets, _ = hg.build_doublets([src, dst], hg.SelectionCuts())
-        assert doublets == []
+        hits = make_hits([
+            (1, 32.0, 0.0, 0.0, 0),
+            (2, 72.0 * math.cos(0.1), 72.0 * math.sin(0.1), 0.0, 1),
+        ])
+        pairs, _ = hg.build_doublets(hits, hg.SelectionCuts())
+        assert len(pairs) == 0
         loose = hg.SelectionCuts(dphi_slope_max=0.003)
-        doublets, _ = hg.build_doublets([src, dst], loose)
-        assert len(doublets) == 1
+        pairs, _ = hg.build_doublets(hits, loose)
+        assert len(pairs) == 1
 
     def test_zero_dr_skipped_not_fatal(self):
-        a = hg.Hit(1, 32.0, 0.0, 0.0, 8, 2)
-        b = hg.Hit(2, 0.0, 32.0, 5.0, 8, 4)  # same radius, nominally next layer
-        a.layer_index, b.layer_index = 0, 1
-        doublets, stats = hg.build_doublets([a, b], GENEROUS)
-        assert doublets == []
+        # same radius, nominally next layer
+        hits = make_hits([(1, 32.0, 0.0, 0.0, 0), (2, 0.0, 32.0, 5.0, 1)])
+        pairs, stats = hg.build_doublets(hits, GENEROUS)
+        assert len(pairs) == 0
         assert stats.zero_dr_skipped == 1
 
     def test_emitted_doublets_satisfy_cuts(self, tmp_path):
-        event = synthetic_event(tmp_path, seed=5, n_tracks=40, noise=60)
-        hits = hg.select_barrel_hits(event)
+        hits = hg.select_barrel_hits(synthetic_event(tmp_path, seed=5, n_tracks=40, noise=60))
+        coords = hit_coords(hits)
         for cuts in (hg.SelectionCuts(), GENEROUS):
-            doublets, _ = hg.build_doublets(hits, cuts)
-            for d in doublets:
-                assert hg.passes_cuts(d, cuts)
+            pairs, _ = hg.build_doublets(hits, cuts)
+            for src, dst in pairs.tolist():
+                assert coords[src][0] < coords[dst][0]
+                assert passes_cuts(doublet_geometry(coords[src], coords[dst]), cuts)
 
     def test_monotone_in_cut_values(self, tmp_path):
-        event = synthetic_event(tmp_path, seed=9, n_tracks=40, noise=80)
-        hits = hg.select_barrel_hits(event)
+        hits = hg.select_barrel_hits(synthetic_event(tmp_path, seed=9, n_tracks=40, noise=80))
         base = hg.SelectionCuts(dphi_slope_max=0.001, z0_max=50.0, eta_range=(-2, 2))
         n_base = len(hg.build_doublets(hits, base)[0])
         for loosened in (
@@ -239,22 +312,26 @@ class TestBuildDoublets:
             assert len(hg.build_doublets(hits, loosened)[0]) >= n_base
 
     def test_non_finite_coordinate_is_data_error(self):
-        a = cyl_hit(1, 32.0, 0.0, 0.0, 0)
-        b = cyl_hit(2, 72.0, 0.0, float("nan"), 1)
+        a = cyl(1, 32.0, 0.0, 0.0, 0)
+        b = cyl(2, 72.0, 0.0, float("nan"), 1)
         with pytest.raises(DataError, match="hit 2 has a non-finite coordinate"):
-            hg.build_doublets([a, b], hg.SelectionCuts())
-        c = hg.Hit(3, float("inf"), 0.0, 0.0, 8, 4)
-        c.layer_index = 1
+            hg.build_doublets(make_hits([a, b]), hg.SelectionCuts())
+        c = (3, float("inf"), 0.0, 0.0, 1)
         with pytest.raises(DataError, match="hit 3"):
-            hg.build_doublets([a, c], hg.SelectionCuts())
+            hg.build_doublets(make_hits([a, c]), hg.SelectionCuts())
+
+    def test_unselected_hits_are_data_error(self):
+        hits = make_hits([cyl(1, 32.0, 0.0, 0.0, 0), cyl(2, 72.0, 0.0, 0.0, -1)])
+        with pytest.raises(DataError, match="hit 2 has no layer_index"):
+            hg.build_doublets(hits, hg.SelectionCuts())
 
     def test_raw_cut_mode(self):
-        src = hg.Hit(1, 32.0, 0.0, 0.0, 8, 2)
-        dst = hg.Hit(2, 72.0 * math.cos(0.0004), 72.0 * math.sin(0.0004), 0.0, 8, 4)
-        src.layer_index, dst.layer_index = 0, 1
-        raw_cuts = hg.SelectionCuts(cut_mode="raw")
-        doublets, _ = hg.build_doublets([src, dst], raw_cuts)
-        assert len(doublets) == 1  # |dphi| = 0.0004 < 0.0006
+        hits = make_hits([
+            (1, 32.0, 0.0, 0.0, 0),
+            (2, 72.0 * math.cos(0.0004), 72.0 * math.sin(0.0004), 0.0, 1),
+        ])
+        pairs, _ = hg.build_doublets(hits, hg.SelectionCuts(cut_mode="raw"))
+        assert len(pairs) == 1  # |dphi| = 0.0004 < 0.0006
 
 
 class TestWindowMatchesAllPairs:
@@ -263,30 +340,32 @@ class TestWindowMatchesAllPairs:
     @pytest.mark.parametrize("seed", [5, 11])
     @pytest.mark.parametrize(
         "cuts",
-        [hg.SelectionCuts(), GENEROUS, RAW, hg.SelectionCuts(cut_mode="raw")],
-        ids=["default", "generous", "raw", "raw-default"],
+        [hg.SelectionCuts(), GENEROUS, RAW, hg.SelectionCuts(cut_mode="raw"), NARROW_ETA],
+        ids=["default", "generous", "raw", "raw-default", "narrow-eta"],
     )
     def test_synthgen_events(self, tmp_path, seed, cuts):
         event = synthetic_event(tmp_path, seed=seed, n_tracks=40, noise=300, smear_sigma=0.5)
         hits = hg.select_barrel_hits(event)
         got, stats, pairs = assert_matches_all_pairs(hits, cuts)
-        assert got
-        if cuts is GENEROUS:
+        assert len(got)
+        if cuts is NARROW_ETA:
+            assert len(got) < len(hg.build_doublets(hits, GENEROUS)[0])
+        elif cuts is GENEROUS:
             assert stats.pairs_considered == pairs  # window covers the circle
         else:
             assert stats.pairs_considered < pairs / 4
 
     def test_pairs_across_the_seam(self):
-        hits = [
-            cyl_hit(1, 32.0, math.pi - 0.001, 0.0, 0),
-            cyl_hit(2, 32.0, -math.pi + 0.002, 0.0, 0),
-            cyl_hit(3, 72.0, -math.pi + 0.001, 0.0, 1),
-            cyl_hit(4, 72.0, math.pi - 0.002, 0.0, 1),
-            cyl_hit(5, 72.0, 0.0, 0.0, 1),
-            cyl_hit(6, 72.0, math.pi, 0.0, 1),
-        ]
+        hits = make_hits([
+            cyl(1, 32.0, math.pi - 0.001, 0.0, 0),
+            cyl(2, 32.0, -math.pi + 0.002, 0.0, 0),
+            cyl(3, 72.0, -math.pi + 0.001, 0.0, 1),
+            cyl(4, 72.0, math.pi - 0.002, 0.0, 1),
+            cyl(5, 72.0, 0.0, 0.0, 1),
+            cyl(6, 72.0, math.pi, 0.0, 1),
+        ])
         got, _, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
-        assert [(d.src_hit, d.dst_hit) for d in got] == [
+        assert id_pairs(hits, got) == [
             (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 6)
         ]
 
@@ -298,50 +377,74 @@ class TestWindowMatchesAllPairs:
         rng = np.random.default_rng(17)
         for _ in range(300):
             phi = float(rng.choice([math.pi, -math.pi, 0.0, 1.0])) + float(rng.uniform(-0.01, 0.01))
-            hits = [
-                cyl_hit(1, float(rng.uniform(20, 40)), phi, 1.0, 0),
-                cyl_hit(2, float(rng.uniform(60, 80)), phi + float(rng.uniform(-0.03, 0.03)), 2.0, 1),
-            ]
-            dphi, _, dr, _, _ = hg.doublet_geometry(hits[0], hits[1])
+            hits = make_hits([
+                cyl(1, float(rng.uniform(20, 40)), phi, 1.0, 0),
+                cyl(2, float(rng.uniform(60, 80)), phi + float(rng.uniform(-0.03, 0.03)), 2.0, 1),
+            ])
+            dphi, _, dr, _, _ = doublet_geometry(*hit_coords(hits))
             value = abs(dphi) / dr if mode == "slope" else abs(dphi)
             if value == 0.0:
                 continue
             on_cut = hg.SelectionCuts(dphi_slope_max=value, cut_mode=mode)
-            assert assert_matches_all_pairs(hits, on_cut)[0] == []
+            assert len(assert_matches_all_pairs(hits, on_cut)[0]) == 0
             above = hg.SelectionCuts(dphi_slope_max=math.nextafter(value, 1.0), cut_mode=mode)
             assert len(assert_matches_all_pairs(hits, above)[0]) == 1
 
+    def test_z0_and_eta_bounds_exactly_on_a_pair(self):
+        # |z0| equal to z0_max fails; eta equal to either end of eta_range passes
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            phi = float(rng.uniform(-math.pi, math.pi))
+            hits = make_hits([
+                cyl(1, float(rng.uniform(20, 40)), phi, float(rng.uniform(-50, 50)), 0),
+                cyl(2, float(rng.uniform(60, 80)), phi, float(rng.uniform(-150, 150)), 1),
+            ])
+            _, _, _, z0, eta = doublet_geometry(*hit_coords(hits))
+            if z0 == 0.0:
+                continue
+            cases = [
+                (dict(z0_max=abs(z0)), 0),
+                (dict(z0_max=math.nextafter(abs(z0), math.inf)), 1),
+                (dict(eta_range=(eta, eta + 1.0)), 1),
+                (dict(eta_range=(math.nextafter(eta, math.inf), eta + 1.0)), 0),
+                (dict(eta_range=(eta - 1.0, eta)), 1),
+                (dict(eta_range=(eta - 1.0, math.nextafter(eta, -math.inf))), 0),
+            ]
+            for bounds, n in cases:
+                cuts = hg.SelectionCuts(**{"z0_max": 1e4, "eta_range": (-9.0, 9.0), **bounds})
+                assert len(assert_matches_all_pairs(hits, cuts)[0]) == n
+
     def test_zero_dr_pair_outside_the_window(self):
-        hits = [
-            cyl_hit(1, 32.0, 0.0, 0.0, 0),
-            cyl_hit(2, 72.0, 0.0, 0.0, 1),
-            cyl_hit(3, 32.0, 2.0, 0.0, 1),  # same r as hit 1, far in phi
-        ]
+        hits = make_hits([
+            cyl(1, 32.0, 0.0, 0.0, 0),
+            cyl(2, 72.0, 0.0, 0.0, 1),
+            cyl(3, 32.0, 2.0, 0.0, 1),  # same r as hit 1, far in phi
+        ])
         got, stats, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
-        assert [(d.src_hit, d.dst_hit) for d in got] == [(1, 2)]
+        assert id_pairs(hits, got) == [(1, 2)]
         assert stats.zero_dr_skipped == 1
         assert stats.pairs_considered == 1
 
     def test_inner_layer_hit_outside_its_partner(self):
-        hits = [
-            cyl_hit(1, 80.0, 0.5, 3.0, 0),
-            cyl_hit(2, 72.0, 0.5, 1.0, 1),
-            cyl_hit(3, 30.0, 0.5, 0.0, 1),
-        ]
+        hits = make_hits([
+            cyl(1, 80.0, 0.5, 3.0, 0),
+            cyl(2, 72.0, 0.5, 1.0, 1),
+            cyl(3, 30.0, 0.5, 0.0, 1),
+        ])
         got, _, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
-        assert [(d.src_hit, d.dst_hit) for d in got] == [(2, 1), (3, 1)]
-        assert all(d.dr > 0 for d in got)
+        assert id_pairs(hits, got) == [(2, 1), (3, 1)]
+        assert (hits.r[got[:, 0]] < hits.r[got[:, 1]]).all()
 
     def test_empty_next_layer_and_one_hit_layer(self):
-        hits = [
-            cyl_hit(1, 32.0, 0.1, 0.0, 0),
-            cyl_hit(2, 116.0, 0.1, 0.0, 2),
-            cyl_hit(3, 172.0, 0.1, 0.0, 3),
-            cyl_hit(4, 172.0, 0.1002, 0.0, 3),
-            cyl_hit(5, 172.0, -2.0, 0.0, 3),
-        ]
+        hits = make_hits([
+            cyl(1, 32.0, 0.1, 0.0, 0),
+            cyl(2, 116.0, 0.1, 0.0, 2),
+            cyl(3, 172.0, 0.1, 0.0, 3),
+            cyl(4, 172.0, 0.1002, 0.0, 3),
+            cyl(5, 172.0, -2.0, 0.0, 3),
+        ])
         got, stats, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
-        assert [(d.src_hit, d.dst_hit) for d in got] == [(2, 3), (2, 4)]
+        assert id_pairs(hits, got) == [(2, 3), (2, 4)]
         assert stats.pairs_considered == 2
 
 
@@ -352,12 +455,11 @@ def test_preprocess_bytes_match_all_pairs_pipeline(tmp_path):
     assert main(["preprocess", "--in", str(events), "--out", str(out)]) == 0
 
     cuts = hg.SelectionCuts()
-    event = hg.load_event(*synthgen.event_paths(str(events), 1))
-    hits = hg.select_barrel_hits(event)
-    doublets, _, _ = all_pairs_doublets(hits, cuts)
-    assert doublets
-    doublets, _ = hg.label_edges(doublets, event.truth, event.particles, cuts)
-    subgraphs, _ = hg.section_graph(hits, doublets, event_id=1)
+    hits = hg.select_barrel_hits(hg.load_event(*synthgen.event_paths(str(events), 1)))
+    pairs = np.array(all_pairs_doublets(hits, cuts)[0], dtype=np.int64)
+    assert len(pairs)
+    labels, _ = hg.label_edges(pairs, hits, cuts)
+    subgraphs, _ = hg.section_graph(hits, pairs, labels, event_id=1)
     ref = tmp_path / "ref"
     for g in subgraphs:
         hg.write_subgraph(g, str(ref))
@@ -369,45 +471,45 @@ def test_preprocess_bytes_match_all_pairs_pipeline(tmp_path):
 
 
 class TestLabelEdges:
-    def _doublet(self):
-        return hg.Doublet(1, 2, 0.0, 0.0, 40.0, 0.0, 0.0)
+    PAIR = np.array([[0, 1]], dtype=np.int64)
+
+    def _hits(self, truth):
+        return make_hits([(1, 32.0, 0.0, 0.0, 0), (2, 72.0, 0.0, 0.0, 1)], truth)
 
     def test_shared_high_pt_particle_true(self):
-        particles = {42: hg.Particle(42, 2.3, 0.0, 0.0)}
-        labeled, _ = hg.label_edges([self._doublet()], {1: 42, 2: 42}, particles, hg.SelectionCuts())
-        assert labeled[0].label is True
+        hits = self._hits({1: (42, 2.3), 2: (42, 2.3)})
+        labels, _ = hg.label_edges(self.PAIR, hits, hg.SelectionCuts())
+        assert labels.tolist() == [True]
 
-    def test_shared_low_pt_particle_false(self):
-        particles = {42: hg.Particle(42, 0.4, 0.0, 0.0)}
-        labeled, _ = hg.label_edges([self._doublet()], {1: 42, 2: 42}, particles, hg.SelectionCuts())
-        assert labeled[0].label is False
+    @pytest.mark.parametrize("pt", [0.4, 1.0])
+    def test_shared_low_pt_particle_false(self, pt):
+        hits = self._hits({1: (42, pt), 2: (42, pt)})
+        labels, _ = hg.label_edges(self.PAIR, hits, hg.SelectionCuts(pt_min=1.0))
+        assert labels.tolist() == [False]
 
     def test_different_particles_false(self):
-        particles = {1: hg.Particle(1, 2.0, 0, 0), 2: hg.Particle(2, 2.0, 0, 0)}
-        labeled, _ = hg.label_edges([self._doublet()], {1: 1, 2: 2}, particles, hg.SelectionCuts())
-        assert labeled[0].label is False
+        hits = self._hits({1: (1, 2.0), 2: (2, 2.0)})
+        labels, _ = hg.label_edges(self.PAIR, hits, hg.SelectionCuts())
+        assert labels.tolist() == [False]
 
     def test_missing_truth_counts_as_noise(self):
-        labeled, stats = hg.label_edges([self._doublet()], {1: 5}, {}, hg.SelectionCuts())
-        assert labeled[0].label is False
+        hits = self._hits({1: (5, math.nan)})
+        labels, stats = hg.label_edges(self.PAIR, hits, hg.SelectionCuts())
+        assert labels.tolist() == [False]
         assert stats.missing_truth == 1
 
     def test_labels_symmetric_in_hit_order(self):
-        particles = {9: hg.Particle(9, 3.0, 0.0, 0.0)}
-        truth = {1: 9, 2: 9}
-        fwd = hg.Doublet(1, 2, 0.0, 0.0, 40.0, 0.0, 0.0)
-        rev = hg.Doublet(2, 1, 0.0, 0.0, 40.0, 0.0, 0.0)
-        hg.label_edges([fwd, rev], truth, particles, hg.SelectionCuts())
-        assert fwd.label == rev.label
+        hits = self._hits({1: (9, 3.0), 2: (9, 3.0)})
+        labels, _ = hg.label_edges(np.array([[0, 1], [1, 0]]), hits, hg.SelectionCuts())
+        assert labels.tolist() == [True, True]
 
 
 class TestSectioning:
     def test_sixteen_subgraphs(self, tmp_path):
-        event = synthetic_event(tmp_path, seed=7, n_tracks=20, noise=20)
-        hits = hg.select_barrel_hits(event)
-        doublets, _ = hg.build_doublets(hits, GENEROUS)
-        hg.label_edges(doublets, event.truth, event.particles, GENEROUS)
-        subgraphs, _ = hg.section_graph(hits, doublets, event_id=1)
+        hits = hg.select_barrel_hits(synthetic_event(tmp_path, seed=7, n_tracks=20, noise=20))
+        pairs, _ = hg.build_doublets(hits, GENEROUS)
+        labels, _ = hg.label_edges(pairs, hits, GENEROUS)
+        subgraphs, _ = hg.section_graph(hits, pairs, labels, event_id=1)
         assert len(subgraphs) == 16
         assert sorted(g.sector for g in subgraphs) == [
             (p, z) for p in range(8) for z in range(2)
@@ -419,9 +521,8 @@ class TestSectioning:
         assert hg.sector_of(0.0, 0.0) == (4, 1)  # z >= 0 upper half
 
     def test_nodes_partitioned(self, tmp_path):
-        event = synthetic_event(tmp_path, seed=13, n_tracks=30, noise=40)
-        hits = hg.select_barrel_hits(event)
-        subgraphs, _ = hg.section_graph(hits, [], event_id=1)
+        hits = hg.select_barrel_hits(synthetic_event(tmp_path, seed=13, n_tracks=30, noise=40))
+        subgraphs, _ = hg.section_graph(hits, NO_PAIRS, np.empty(0, dtype=bool), event_id=1)
         assert sum(len(g.nodes) for g in subgraphs) == len(hits)
         for g in subgraphs:
             lo = -math.pi + g.sector[0] * math.pi / 4
@@ -431,12 +532,21 @@ class TestSectioning:
                 assert (z >= 0) == bool(g.sector[1])
 
     def test_cross_sector_edges_dropped(self):
-        a = hg.Hit(1, 32.0, 0.0, 10.0, 8, 2)  # phi 0, sector 4
-        b = hg.Hit(2, 0.0, 72.0, 10.0, 8, 4)  # phi pi/2, sector 6
-        d = hg.Doublet(1, 2, math.pi / 2, 0.0, 40.0, 10.0, 0.0, label=True)
-        subgraphs, dropped = hg.section_graph([a, b], [d], event_id=1)
+        # phi 0 is sector 4, phi pi/2 sector 6
+        hits = make_hits([(1, 32.0, 0.0, 10.0, 0), (2, 0.0, 72.0, 10.0, 1)])
+        subgraphs, dropped = hg.section_graph(hits, np.array([[0, 1]]), np.array([True]), event_id=1)
         assert dropped == 1
         assert all(g.edges == [] for g in subgraphs)
+
+    def test_repeated_id_does_not_alias_hits(self):
+        # rows, not ids, name the endpoints: two hits sharing id 1 stay apart
+        hits = make_hits([cyl(1, 32.0, 0.1, 1.0, 0), cyl(1, 33.0, 0.1, 1.0, 0), cyl(2, 72.0, 0.1, 1.0, 1)])
+        pairs = np.array([[0, 2], [1, 2]])
+        subgraphs, dropped = hg.section_graph(hits, pairs, np.array([True, False]), event_id=1)
+        (g,) = [g for g in subgraphs if g.nodes]
+        assert dropped == 0
+        assert len(g.nodes) == 3
+        assert g.edges == [(0, 2, 1), (1, 2, 0)]
 
 
 class TestSubgraphRoundTrip:
@@ -486,19 +596,18 @@ class TestSubgraphRoundTrip:
 def test_truth_doublet_recall_with_generous_cuts(tmp_path):
     # zero-noise events: every consecutive-layer pair of a generated track
     # must come out as a true-labeled doublet
-    event = synthetic_event(tmp_path, seed=31, n_tracks=50)
-    hits = hg.select_barrel_hits(event)
-    doublets, _ = hg.build_doublets(hits, GENEROUS)
-    hg.label_edges(doublets, event.truth, event.particles, GENEROUS)
+    hits = hg.select_barrel_hits(synthetic_event(tmp_path, seed=31, n_tracks=50))
+    pairs, _ = hg.build_doublets(hits, GENEROUS)
+    labels, _ = hg.label_edges(pairs, hits, GENEROUS)
 
     per_particle = {}
-    for h in hits:
-        per_particle.setdefault(event.truth[h.hit_id], {})[h.layer_index] = h.hit_id
+    for pid, k, hit_id in zip(hits.particle_id.tolist(), hits.layer_index.tolist(), hits.hit_id.tolist()):
+        per_particle.setdefault(pid, {})[k] = hit_id
     expected = set()
     for pid, layers in per_particle.items():
         for k in layers:
             if k + 1 in layers:
                 expected.add((layers[k], layers[k + 1]))
-    got = {(d.src_hit, d.dst_hit) for d in doublets if d.label}
+    got = set(id_pairs(hits, pairs[labels]))
     assert expected
     assert expected <= got
