@@ -481,9 +481,13 @@ class TestLabelEdges:
         labels, _ = hg.label_edges(self.PAIR, hits, hg.SelectionCuts())
         assert labels.tolist() == [True]
 
-    @pytest.mark.parametrize("pt", [0.4, 1.0])
-    def test_shared_low_pt_particle_false(self, pt):
-        hits = self._hits({1: (42, pt), 2: (42, pt)})
+    def test_shared_low_pt_particle_false(self):
+        hits = self._hits({1: (42, 0.4), 2: (42, 0.4)})
+        labels, _ = hg.label_edges(self.PAIR, hits, hg.SelectionCuts())
+        assert labels.tolist() == [False]
+
+    def test_shared_particle_at_pt_threshold_false(self):
+        hits = self._hits({1: (42, 1.0), 2: (42, 1.0)})
         labels, _ = hg.label_edges(self.PAIR, hits, hg.SelectionCuts(pt_min=1.0))
         assert labels.tolist() == [False]
 
