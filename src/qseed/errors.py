@@ -1,20 +1,26 @@
 """Exception hierarchy shared across the pipeline.
 
-Exit-code mapping (see cli): UsageError -> 1, DataError and subclasses -> 2,
-NumericError -> 3.
+Each error carries the exit code the CLI returns for it: UsageError -> 1,
+DataError and subclasses -> 2, NumericError -> 3.
 """
 
 
 class QSeedError(Exception):
     """Base class for all package errors."""
 
+    exit_code: int
+
 
 class UsageError(QSeedError):
     """Bad flags or configuration values."""
 
+    exit_code = 1
+
 
 class DataError(QSeedError):
     """Invalid or insufficient input data."""
+
+    exit_code = 2
 
 
 class SchemaError(DataError):
@@ -27,3 +33,5 @@ class ParseError(DataError):
 
 class NumericError(QSeedError):
     """Non-finite value encountered during optimization."""
+
+    exit_code = 3

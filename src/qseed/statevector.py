@@ -8,7 +8,7 @@ amplitude index, so for two qubits the amplitude order is |00>, |10>, |01>,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -19,6 +19,9 @@ from .hitgraph import SubGraph, subgraph_dirname
 from .statevector import ShotConfig
 from .ttn import FeatureScaler, TTNParams, ttn_forward, ttn_gradient
 
+# Predictions are clamped to [BCE_EPS, 1 - BCE_EPS] so the loss stays finite.
+BCE_EPS = 1e-7
+
 
 @dataclass
 class TrainConfig:
@@ -27,7 +30,6 @@ class TrainConfig:
     split_ratio: float = 0.9
     threshold: float = 0.5
     seed: int = 0
-    eps: float = 1e-7
 
     def __post_init__(self) -> None:
         if not 0.0 < self.split_ratio < 1.0:
@@ -118,21 +120,17 @@ def split_dataset(
     return train, test
 
 
-def weighted_bce(
-    pred: float, label: int, w_true: float, w_fake: float, eps: float = 1e-7
-) -> float:
+def weighted_bce(pred: float, label: int, w_true: float, w_fake: float) -> float:
     """-[w_true * y * ln(p) + w_fake * (1 - y) * ln(1 - p)], p clamped."""
-    p = min(max(pred, eps), 1.0 - eps)
+    p = min(max(pred, BCE_EPS), 1.0 - BCE_EPS)
     if label:
         return -w_true * math.log(p)
     return -w_fake * math.log(1.0 - p)
 
 
-def _bce_dpred(
-    pred: float, label: int, w_true: float, w_fake: float, eps: float
-) -> float:
+def _bce_dpred(pred: float, label: int, w_true: float, w_fake: float) -> float:
     """d loss / d pred; zero where the clamp is active."""
-    if pred <= eps or pred >= 1.0 - eps:
+    if pred <= BCE_EPS or pred >= 1.0 - BCE_EPS:
         return 0.0
     if label:
         return -w_true / pred
@@ -149,9 +147,7 @@ def class_weights(g: SubGraph) -> Tuple[float, float]:
     return w_true, w_fake
 
 
-def subgraph_loss(
-    g: SubGraph, params: TTNParams, scaler: FeatureScaler, cfg: TrainConfig
-) -> float:
+def subgraph_loss(g: SubGraph, params: TTNParams, scaler: FeatureScaler) -> float:
     """Mean weighted BCE over the subgraph's edges (no update)."""
     if not g.edges:
         raise DataError("subgraph has no edges")
@@ -159,7 +155,7 @@ def subgraph_loss(
     total = 0.0
     for edge in g.edges:
         pred = ttn_forward(edge_raw_features(g, edge), params, scaler)
-        total += weighted_bce(pred, edge[2], w_true, w_fake, cfg.eps)
+        total += weighted_bce(pred, edge[2], w_true, w_fake)
     return total / len(g.edges)
 
 
@@ -175,8 +171,8 @@ def subgraph_step(
     for edge in g.edges:
         raw = edge_raw_features(g, edge)
         pred = ttn_forward(raw, params, scaler)
-        loss_sum += weighted_bce(pred, edge[2], w_true, w_fake, cfg.eps)
-        dl_dp = _bce_dpred(pred, edge[2], w_true, w_fake, cfg.eps)
+        loss_sum += weighted_bce(pred, edge[2], w_true, w_fake)
+        dl_dp = _bce_dpred(pred, edge[2], w_true, w_fake)
         if dl_dp != 0.0:
             grad_sum += dl_dp * ttn_gradient(raw, params, scaler)
     n = len(g.edges)
@@ -271,6 +267,16 @@ def train(
 
 def _fmt_opt(value: Optional[float]) -> str:
     return "" if value is None else repr(value)
+
+
+def write_metrics(m: Metrics, path: str) -> None:
+    """One header line and one row of confusion counts and ratios."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("tp,fp,tn,fn,purity,efficiency,accuracy\n")
+        fh.write(
+            f"{m.tp},{m.fp},{m.tn},{m.fn},"
+            f"{_fmt_opt(m.purity)},{_fmt_opt(m.efficiency)},{_fmt_opt(m.accuracy)}\n"
+        )
 
 
 def write_history(history: History, updates_path: str, epochs_path: str) -> None:

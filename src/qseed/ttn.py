@@ -13,7 +13,7 @@ The circuit contracts the six encoded qubits pairwise toward qubit 3, whose
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -242,4 +242,7 @@ def load_model(path: str) -> Tuple[TTNParams, FeatureScaler, dict]:
         raise ParseError(f"{path}: expected {N_PARAMS} parameter lines, got {len(thetas)}")
     if meta.get("layout") != LAYOUT_TAG:
         raise ParseError(f"{path}: unsupported layout tag {meta.get('layout')!r}")
-    return TTNParams(np.array(thetas)), FeatureScaler(np.array(mins), np.array(maxs)), meta
+    try:
+        return TTNParams(np.array(thetas)), FeatureScaler(np.array(mins), np.array(maxs)), meta
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

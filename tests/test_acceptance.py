@@ -190,7 +190,7 @@ def test_criterion_7_end_to_end_learning():
     for init_seed in range(5):
         params = ttn.init_params(init_seed)
         initial_loss = float(
-            np.mean([training.subgraph_loss(g, params, scaler, cfg) for g in train_set])
+            np.mean([training.subgraph_loss(g, params, scaler) for g in train_set])
         )
         _, history = training.train(train_set, test_set, cfg, params, scaler)
         final_loss = history.epochs[-1].train_loss

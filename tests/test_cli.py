@@ -2,8 +2,10 @@ import glob
 import math
 import os
 
+import numpy as np
 import pytest
 
+from qseed import hitgraph, training, ttn
 from qseed.cli import main, read_config_file
 from qseed.errors import UsageError
 
@@ -43,6 +45,10 @@ class TestGen:
 
     def test_zero_events_usage_error(self, tmp_path):
         assert run(["gen", "--out", tmp_path / "x", "--events", "0"]) == 1
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("events=0\n")
+        assert run(["gen", "--out", tmp_path / "y", "--config", cfg]) == 1
+        assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
     def test_noise_rows(self, tmp_path):
         out = tmp_path / "g"
@@ -207,6 +213,27 @@ class TestEvalPredict:
         code = run(["eval", "--data", subgraphs_dir, "--model", tmp_path / "none.txt", "--out", tmp_path / "o"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_negative_shots_usage_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("shots=-5\n")
+        args = [command, "--data", tmp_path / "d", "--model", tmp_path / "m.txt", "--out", tmp_path / "o"]
+        assert run([*args, "--shots", "-5"]) == 1
+        assert run([*args, "--config", cfg]) == 1
+        assert capsys.readouterr().err.count("'--shots': -5 is not in the range") == 2
+
+    def test_bad_model_file_is_data_error(self, tmp_path, subgraphs_dir, capsys):
+        model = tmp_path / "model.txt"
+        ttn.save_model(str(model), ttn.init_params(0), ttn.FeatureScaler(np.zeros(6), np.ones(6)), 0)
+        lines = model.read_text().splitlines()
+        lines[lines.index("[params]") + 1] = "nan"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--data", subgraphs_dir, "--model", model, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "model.txt: parameters must be finite" in err
+        assert "Traceback" not in err
+
     def test_predict(self, tmp_path, subgraphs_dir, model_dir):
         out = tmp_path / "pred"
         assert run(["predict", "--data", subgraphs_dir, "--model", model_dir / "model.txt", "--out", out]) == 0
@@ -249,6 +276,54 @@ class TestConfigFile:
 
     def test_missing_config(self, tmp_path):
         assert run(["gen", "--out", tmp_path / "o", "--config", tmp_path / "none.txt"]) == 1
+
+
+def _outputs(root):
+    """Bytes of every file under root except the manifest, by relative path."""
+    return {
+        p.relative_to(root): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file() and not p.name.endswith("_manifest.txt")
+    }
+
+
+@pytest.mark.parametrize("command", ["gen", "preprocess", "train", "eval", "predict"])
+def test_manifest_alone_reruns_command(tmp_path, request, command):
+    """Each option, set away from its default, reaches the manifest; the
+    manifest plus --out reruns the command with byte-identical outputs."""
+    if command == "gen":
+        args = [
+            "--events", "2", "--tracks", "6", "--noise", "3", "--seed", "4", "--pt-min", "0.8",
+            "--pt-max", "4", "--z0-spread", "20", "--smear", "0.001", "--b-field", "2.5",
+        ]
+    elif command == "preprocess":
+        args = [
+            "--in", request.getfixturevalue("events_dir"), "--pt-min", "0.9", "--dphi-max", "0.02",
+            "--z0-max", "500", "--eta-min", "-4", "--eta-max", "4", "--cut-mode", "raw", "--pt-mode", "filter",
+        ]
+    elif command == "train":
+        args = [
+            "--data", request.getfixturevalue("subgraphs_dir"), "--epochs", "1", "--lr", "0.05",
+            "--split-ratio", "0.8", "--threshold", "0.4", "--seed", "5", "--init-seed", "11",
+        ]
+    else:
+        data = request.getfixturevalue("subgraphs_dir")
+        graphs = [hitgraph.read_subgraph(p) for p in sorted(glob.glob(str(data / "evt*_s*")))]
+        model = tmp_path / "model.txt"
+        ttn.save_model(str(model), ttn.init_params(3), ttn.fit_scaler(training.collect_features(graphs)), 3)
+        args = ["--data", data, "--model", model, "--shots", "100", "--shot-seed", "2"]
+        if command == "eval":
+            args += ["--threshold", "0.4"]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run([command, "--out", first, *args]) == 0
+    assert run([command, "--out", again, "--config", first / f"{command}_manifest.txt"]) == 0
+
+    def manifest(out):
+        text = (out / f"{command}_manifest.txt").read_text()
+        return [line for line in text.splitlines() if not line.startswith("duration_s=")]
+
+    assert manifest(again) == manifest(first)
+    assert _outputs(first) and _outputs(again) == _outputs(first)
 
 
 def test_unknown_command_is_usage_error():

@@ -126,8 +126,8 @@ class TestSubgraphStep:
                 minus = params.copy()
                 minus.thetas[k] -= h
                 fd = (
-                    subgraph_loss(g, plus, scaler, cfg)
-                    - subgraph_loss(g, minus, scaler, cfg)
+                    subgraph_loss(g, plus, scaler)
+                    - subgraph_loss(g, minus, scaler)
                 ) / (2 * h)
                 assert abs(analytic[k] - fd) < 1e-5
 
@@ -169,7 +169,7 @@ class TestTrain:
         tr, te = split_dataset(subs, 0.9, 0)
         cfg = TrainConfig(epochs=2, learning_rate=0.1, seed=0)
         params = ttn.init_params(0)
-        initial = np.mean([subgraph_loss(g, params, scaler, cfg) for g in tr])
+        initial = np.mean([subgraph_loss(g, params, scaler) for g in tr])
         _, history = train(tr, te, cfg, params, scaler)
         assert history.epochs[-1].train_loss < 0.8 * initial
 

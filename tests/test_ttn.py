@@ -220,6 +220,20 @@ class TestPersistence:
         with pytest.raises(ParseError, match=r"model\.txt:3"):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "index, text, message",  # line index 1 is the first "min max" line, 8 the first angle
+        [(8, "nan", "parameters must be finite"), (1, "1.0 0.0", "max > min")],
+        ids=["nan-angle", "min-above-max"],
+    )
+    def test_invalid_values_are_parse_errors(self, tmp_path, index, text, message):
+        path = tmp_path / "model.txt"
+        save_model(str(path), init_params(0), UNIT_SCALER, seed=0)
+        lines = path.read_text().splitlines()
+        lines[index] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"model\.txt: .*{message}"):
+            load_model(str(path))
+
     def test_wrong_counts_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("[scaler]\n0.0 1.0\n[params]\n1.0\n[meta]\nlayout=ttn-v1\n")
