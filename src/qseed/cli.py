@@ -48,9 +48,19 @@ def read_config_file(path: Optional[str]) -> Dict[str, str]:
     return values
 
 
+# Keys a manifest carries that name no option; a manifest is a config file.
+MANIFEST_KEYS = ("command", "manifest_version", "duration_s")
+
+
 def _use_config(ctx: click.Context, param: click.Parameter, path: Optional[str]) -> None:
     # `--config` is eager, so this runs before any other option reads its default.
-    ctx.default_map = read_config_file(path)
+    values = read_config_file(path)
+    # Any command's options are accepted, so one command's manifest can feed another.
+    known = {p.name for c in cli.commands.values() for p in c.params} | set(MANIFEST_KEYS)
+    for key in values:
+        if key not in known:
+            raise UsageError(f"{path}: unknown config key {key!r}")
+    ctx.default_map = values
 
 
 @click.group(context_settings={"show_default": True})
@@ -193,7 +203,7 @@ def cmd_preprocess(out, pt_min, dphi_max, z0_max, eta_min, eta_max, cut_mode, pt
 
 @command("train")
 @click.option("--data", required=True, type=click.Path())
-@click.option("--epochs", type=int, default=2)
+@click.option("--epochs", type=click.IntRange(min=1), default=2)
 @click.option("--lr", type=float, default=0.01)
 @click.option("--split-ratio", type=float, default=0.9)
 @click.option("--threshold", type=float, default=0.5)

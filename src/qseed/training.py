@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .hitgraph import SubGraph, subgraph_dirname
-from .statevector import ShotConfig
-from .ttn import FeatureScaler, TTNParams, ttn_forward, ttn_gradient
+from .statevector import ShotConfig, shot_estimate
+from .ttn import N_FEATURES, FeatureScaler, TTNParams, forward_batch, gradient_batch
 
 # Predictions are clamped to [BCE_EPS, 1 - BCE_EPS] so the loss stays finite.
 BCE_EPS = 1e-7
@@ -98,12 +98,16 @@ def edge_raw_features(
     return np.array([a[0], a[1], a[2], b[0], b[1], b[2]])
 
 
+def subgraph_features(g: SubGraph) -> np.ndarray:
+    """(E, 6) raw features of the subgraph's edges, in edge order."""
+    return np.array([edge_raw_features(g, e) for e in g.edges]).reshape(-1, N_FEATURES)
+
+
 def collect_features(subgraphs: Sequence[SubGraph]) -> np.ndarray:
     """Raw feature rows for every edge of every subgraph (scaler fitting)."""
-    rows = [edge_raw_features(g, e) for g in subgraphs for e in g.edges]
-    if not rows:
+    if not any(g.edges for g in subgraphs):
         raise DataError("no edges in the given subgraphs")
-    return np.stack(rows)
+    return np.concatenate([subgraph_features(g) for g in subgraphs])
 
 
 def split_dataset(
@@ -147,34 +151,48 @@ def class_weights(g: SubGraph) -> Tuple[float, float]:
     return w_true, w_fake
 
 
+def _score_subgraph(
+    g: SubGraph, params: TTNParams, scaler: FeatureScaler
+) -> Tuple[np.ndarray, List[float]]:
+    """Encoding angles (E, 6) and analytic predictions of the subgraph's
+    edges, from one forward_batch."""
+    angles = scaler.transform(subgraph_features(g))
+    return angles, forward_batch(angles, params.thetas)[0].tolist()
+
+
 def subgraph_loss(g: SubGraph, params: TTNParams, scaler: FeatureScaler) -> float:
     """Mean weighted BCE over the subgraph's edges (no update)."""
     if not g.edges:
         raise DataError("subgraph has no edges")
     w_true, w_fake = class_weights(g)
     total = 0.0
-    for edge in g.edges:
-        pred = ttn_forward(edge_raw_features(g, edge), params, scaler)
-        total += weighted_bce(pred, edge[2], w_true, w_fake)
+    for (_, _, label), pred in zip(g.edges, _score_subgraph(g, params, scaler)[1]):
+        total += weighted_bce(pred, label, w_true, w_fake)
     return total / len(g.edges)
 
 
 def subgraph_step(
     g: SubGraph, params: TTNParams, scaler: FeatureScaler, cfg: TrainConfig
 ) -> Tuple[TTNParams, float]:
-    """One SGD update from this subgraph; returns (new params, mean loss)."""
+    """One SGD update from this subgraph; returns (new params, mean loss).
+
+    Losses and gradient rows are summed one edge at a time in edge order
+    (a pairwise np.sum would round differently). Edges whose loss gradient
+    the BCE clamp zeroes take no gradient row.
+    """
     if not g.edges:
         raise DataError("subgraph has no edges")
     w_true, w_fake = class_weights(g)
+    angles, preds = _score_subgraph(g, params, scaler)
     loss_sum = 0.0
+    dl_dp = []
+    for (_, _, label), pred in zip(g.edges, preds):
+        loss_sum += weighted_bce(pred, label, w_true, w_fake)
+        dl_dp.append(_bce_dpred(pred, label, w_true, w_fake))
+    used = [i for i, d in enumerate(dl_dp) if d != 0.0]
     grad_sum = np.zeros_like(params.thetas)
-    for edge in g.edges:
-        raw = edge_raw_features(g, edge)
-        pred = ttn_forward(raw, params, scaler)
-        loss_sum += weighted_bce(pred, edge[2], w_true, w_fake)
-        dl_dp = _bce_dpred(pred, edge[2], w_true, w_fake)
-        if dl_dp != 0.0:
-            grad_sum += dl_dp * ttn_gradient(raw, params, scaler)
+    for i, grad in zip(used, gradient_batch(angles[used], params)):
+        grad_sum += dl_dp[i] * grad
     n = len(g.edges)
     new_params = TTNParams(params.thetas - cfg.learning_rate * grad_sum / n)
     return new_params, loss_sum / n
@@ -188,13 +206,19 @@ def edge_predictions(
 ) -> Iterator[Tuple[SubGraph, Tuple[int, int, int], float]]:
     """(subgraph, edge, pred) for every edge of every subgraph, in order.
 
-    In shot mode each edge gets its own derived seed (shots.seed + edge index)
+    Each subgraph is scored in one forward_batch. In shot mode each edge gets
+    its own derived seed (shots.seed + edge index, counted across subgraphs)
     so estimates are independent yet reproducible.
     """
-    edges = ((g, edge) for g in subgraphs for edge in g.edges)
-    for n, (g, edge) in enumerate(edges):
-        edge_shots = ShotConfig(shots.n_shots, shots.seed + n) if shots else None
-        yield g, edge, ttn_forward(edge_raw_features(g, edge), params, scaler, edge_shots)
+    n = 0
+    for g in subgraphs:
+        if not g.edges:
+            continue
+        for edge, pred in zip(g.edges, _score_subgraph(g, params, scaler)[1]):
+            if shots:
+                pred = shot_estimate(pred, ShotConfig(shots.n_shots, shots.seed + n))
+            yield g, edge, pred
+            n += 1
 
 
 def evaluate_metrics(

@@ -19,15 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError, ParseError
-from .statevector import (
-    GateOp,
-    ShotConfig,
-    StateVector,
-    apply_circuit,
-    new_zero_state,
-    prob_one,
-    sample_shots,
-)
+from .statevector import GateOp, ShotConfig, shot_estimate
 
 N_FEATURES = 6
 N_PARAMS = 11
@@ -35,6 +27,21 @@ READOUT_QUBIT = 3
 LAYOUT_TAG = "ttn-v1"
 
 TWO_PI = 2.0 * math.pi
+
+# The tree after encoding, in application order: ("RY", qubit, theta index)
+# or ("CNOT", target, control).
+TREE = (
+    ("RY", 0, 0), ("RY", 1, 1), ("RY", 2, 2), ("RY", 3, 3), ("RY", 4, 4), ("RY", 5, 5),
+    ("CNOT", 1, 0), ("CNOT", 3, 2), ("CNOT", 5, 4),  # layer 1
+    ("RY", 1, 6), ("RY", 3, 7), ("CNOT", 3, 1),  # layer 2
+    ("RY", 3, 8), ("RY", 5, 9), ("CNOT", 3, 5),  # layer 3
+    ("RY", 3, 10),  # layer 4
+)
+
+# Rows of one statevector block in forward_batch. A row is 64 float64
+# amplitudes, so a block takes 128 KiB and its temporaries about as much,
+# whatever the number of edges and parameter vectors.
+BATCH_ROWS = 256
 
 
 @dataclass
@@ -99,14 +106,6 @@ def fit_scaler(raw_features: np.ndarray) -> FeatureScaler:
     return FeatureScaler(mins, maxs)
 
 
-def encode_features(raw: Sequence[float], scaler: FeatureScaler) -> StateVector:
-    """Angle-encode six raw features: Ry(x_i') on qubit i of |000000>."""
-    angles = scaler.transform(raw)
-    state = new_zero_state(N_FEATURES)
-    apply_circuit(state, encoding_gates(angles))
-    return state
-
-
 def encoding_gates(angles: Sequence[float]) -> List[GateOp]:
     return [GateOp("RY", target=i, angle=float(a)) for i, a in enumerate(angles)]
 
@@ -114,29 +113,117 @@ def encoding_gates(angles: Sequence[float]) -> List[GateOp]:
 def circuit_gates(params: TTNParams) -> List[GateOp]:
     """The post-encoding tree circuit, parameters in layout order."""
     t = params.thetas
-    gates: List[GateOp] = []
-    # layer 1
-    gates += [GateOp("RY", target=i, angle=float(t[i])) for i in range(6)]
-    gates += [
-        GateOp("CNOT", target=1, control=0),
-        GateOp("CNOT", target=3, control=2),
-        GateOp("CNOT", target=5, control=4),
+    return [
+        GateOp("RY", target=q, angle=float(t[i])) if kind == "RY" else GateOp("CNOT", target=q, control=i)
+        for kind, q, i in TREE
     ]
-    # layer 2
-    gates += [
-        GateOp("RY", target=1, angle=float(t[6])),
-        GateOp("RY", target=3, angle=float(t[7])),
-        GateOp("CNOT", target=3, control=1),
-    ]
-    # layer 3
-    gates += [
-        GateOp("RY", target=3, angle=float(t[8])),
-        GateOp("RY", target=5, angle=float(t[9])),
-        GateOp("CNOT", target=3, control=5),
-    ]
-    # layer 4
-    gates.append(GateOp("RY", target=3, angle=float(t[10])))
-    return gates
+
+
+# --- batched evaluation ------------------------------------------------------
+#
+# A block is a real (2, 2, 2, 2, 2, 2, rows) array: the amplitude index of
+# statevector reshaped as there (qubit q is axis 5 - q), one column per row,
+# so every gate updates contiguous runs of rows. Every amplitude the gate-list
+# simulator computes from |000000> has an exactly zero imaginary part, so the
+# same real updates give the same bits.
+
+
+def _half_angle_cos_sin(angles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """cos and sin of angle / 2 by `math`, as statevector.apply_ry takes them
+    (numpy's vectorised cos and sin need not round like libm)."""
+    halves = [a / 2.0 for a in angles.ravel().tolist()]
+    cos = np.array([math.cos(h) for h in halves]).reshape(angles.shape)
+    sin = np.array([math.sin(h) for h in halves]).reshape(angles.shape)
+    return cos, sin
+
+
+def _axis(qubit: int, bit: int) -> tuple:
+    return (slice(None),) * (N_FEATURES - 1 - qubit) + (bit,)
+
+
+def _ry(psi: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray) -> None:
+    """Ry on `qubit` of every row, with one (cos, sin) of the half angle per
+    row: the update c*a0 - s*a1, s*a0 + c*a1 of statevector.apply_ry."""
+    a0, a1 = psi[_axis(qubit, 0)], psi[_axis(qubit, 1)]
+    c_a0, s_a1, s_a0 = c * a0, s * a1, s * a0
+    np.subtract(c_a0, s_a1, out=a0)
+    np.add(s_a0, np.multiply(c, a1, out=c_a0), out=a1)
+
+
+def _cnot(psi: np.ndarray, control: int, target: int) -> None:
+    """Swap the target's 0 and 1 amplitudes where the control bit is 1."""
+    v = np.moveaxis(psi, (N_FEATURES - 1 - control, N_FEATURES - 1 - target), (0, 1))
+    tmp = v[1, 0].copy()
+    v[1, 0] = v[1, 1]
+    v[1, 1] = tmp
+
+
+def _encode(angles: np.ndarray) -> np.ndarray:
+    """The states after encoding_gates(angles[e]), one row per edge."""
+    c, s = _half_angle_cos_sin(angles)
+    psi = np.zeros((2,) * N_FEATURES + (len(angles),))
+    psi[(0,) * N_FEATURES] = 1.0
+    for q in range(N_FEATURES):
+        _ry(psi, q, c[:, q], s[:, q])
+    return psi
+
+
+def _readout(psi: np.ndarray) -> np.ndarray:
+    """P(|1>) on qubit 3 per row: the 32 squared amplitudes with qubit 3 at 1,
+    in amplitude-index order, summed as one contiguous row, which is the
+    reduction statevector.prob_one makes."""
+    ones = psi[_axis(READOUT_QUBIT, 1)]
+    squares = np.ascontiguousarray((ones * ones).reshape(2 ** (N_FEATURES - 1), -1).T)
+    return np.sum(squares, axis=1)
+
+
+def forward_batch(angles: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """P(|1>) on qubit 3 for every edge under every parameter vector.
+
+    angles: (E, 6) encoding angles (scaled features); thetas: (K, 11).
+    Returns P of shape (K, E), P[k, e] for edge e under thetas[k]. Each
+    (k, e) row of the statevector runs encoding_gates(angles[e]) +
+    circuit_gates(thetas[k]) with the arithmetic of the gate-list simulator
+    and reads out as statevector.prob_one does, so every P equals that
+    simulator's bit for bit. A block holds at most BATCH_ROWS rows: up to
+    BATCH_ROWS encoded edges, each under as many parameter vectors as fit.
+    """
+    angles = np.asarray(angles, dtype=float).reshape(-1, N_FEATURES)
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, N_PARAMS)
+    tree_c, tree_s = _half_angle_cos_sin(thetas)
+    probs = np.empty((len(thetas), len(angles)))
+    for e0 in range(0, len(angles), BATCH_ROWS):
+        encoded = _encode(angles[e0:e0 + BATCH_ROWS])
+        n_edges = encoded.shape[-1]
+        n_sets = max(1, BATCH_ROWS // n_edges)
+        for k0 in range(0, len(thetas), n_sets):
+            # rows in (parameter vector, edge) order
+            c = np.repeat(tree_c[k0:k0 + n_sets], n_edges, axis=0).T.copy()
+            s = np.repeat(tree_s[k0:k0 + n_sets], n_edges, axis=0).T.copy()
+            psi = np.tile(encoded, c.shape[1] // n_edges)
+            for kind, q, i in TREE:
+                if kind == "RY":
+                    _ry(psi, q, c[i], s[i])
+                else:
+                    _cnot(psi, i, q)
+            probs[k0:k0 + n_sets, e0:e0 + n_edges] = _readout(psi).reshape(-1, n_edges)
+    return np.clip(probs, 0.0, 1.0)
+
+
+def gradient_batch(angles: np.ndarray, params: TTNParams) -> np.ndarray:
+    """Parameter-shift gradient of the analytic forward for every edge.
+
+    d p / d theta_k = [p(theta_k + pi/2) - p(theta_k - pi/2)] / 2, exact for
+    Ry generators. The 22 shifted parameter vectors run in one forward_batch.
+    Returns G of shape (E, 11).
+    """
+    shifted = np.repeat(params.thetas[None, :], 2 * N_PARAMS, axis=0)
+    for k in range(N_PARAMS):
+        theta = params.thetas[k]
+        shifted[2 * k, k] = theta + math.pi / 2.0
+        shifted[2 * k + 1, k] = theta - math.pi / 2.0
+    p = forward_batch(angles, shifted)
+    return (0.5 * (p[0::2] - p[1::2])).T
 
 
 def ttn_forward(
@@ -145,36 +232,19 @@ def ttn_forward(
     scaler: FeatureScaler,
     shots: Optional[ShotConfig] = None,
 ) -> float:
-    """Edge-truth probability: readout P(|1>) of qubit 3 after the tree.
+    """Edge-truth probability of one edge: readout P(|1>) of qubit 3.
 
     Analytic when shots is None, otherwise estimated from seeded samples.
     """
-    state = encode_features(raw, scaler)
-    apply_circuit(state, circuit_gates(params))
-    if shots is None:
-        return prob_one(state, READOUT_QUBIT)
-    return sample_shots(state, READOUT_QUBIT, shots)
+    p = float(forward_batch(scaler.transform(raw), params.thetas)[0, 0])
+    return p if shots is None else shot_estimate(p, shots)
 
 
 def ttn_gradient(
     raw: Sequence[float], params: TTNParams, scaler: FeatureScaler
 ) -> np.ndarray:
-    """Parameter-shift gradient of the analytic forward output.
-
-    d p / d theta_k = [p(theta_k + pi/2) - p(theta_k - pi/2)] / 2, exact for
-    Ry generators.
-    """
-    grad = np.empty(N_PARAMS)
-    shifted = params.copy()
-    for k in range(N_PARAMS):
-        theta = params.thetas[k]
-        shifted.thetas[k] = theta + math.pi / 2.0
-        plus = ttn_forward(raw, shifted, scaler)
-        shifted.thetas[k] = theta - math.pi / 2.0
-        minus = ttn_forward(raw, shifted, scaler)
-        shifted.thetas[k] = theta
-        grad[k] = 0.5 * (plus - minus)
-    return grad
+    """Parameter-shift gradient of one edge's analytic forward output."""
+    return gradient_batch(scaler.transform(raw), params)[0]
 
 
 def init_params(seed: int) -> TTNParams:

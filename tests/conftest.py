@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qseed.hitgraph import Hits, SubGraph
-from qseed.statevector import GateOp
+from qseed import training, ttn
+from qseed.hitgraph import Hits, SubGraph, subgraph_dirname
+from qseed.statevector import GateOp, ShotConfig, apply_circuit, new_zero_state, prob_one, sample_shots
 
 
 def random_circuit(rng, n_qubits, n_gates):
@@ -162,3 +163,101 @@ def all_pairs_doublets(hits, cuts):
                 if passes_cuts(doublet_geometry(coords[src], coords[dst]), cuts):
                     pairs.append((src, dst))
     return pairs, zero_dr, tested
+
+
+# --- the gate-list reference for the tree circuit ------------------------------
+#
+# The per-edge scoring and training loops as they were before edges were
+# scored in batches, built on the generic gate-list simulator. The batched
+# product path must reproduce them bit for bit.
+
+
+def reference_prob(angles, params):
+    """P(|1>) on qubit 3 after encoding_gates(angles) + circuit_gates(params)."""
+    state = new_zero_state(ttn.N_FEATURES)
+    apply_circuit(state, ttn.encoding_gates(angles) + ttn.circuit_gates(params))
+    return prob_one(state, ttn.READOUT_QUBIT)
+
+
+def encode_features(raw, scaler):
+    """Angle-encode six raw features: Ry(x_i') on qubit i of |000000>."""
+    state = new_zero_state(ttn.N_FEATURES)
+    apply_circuit(state, ttn.encoding_gates(scaler.transform(raw)))
+    return state
+
+
+def reference_forward(raw, params, scaler, shots=None):
+    state = encode_features(raw, scaler)
+    apply_circuit(state, ttn.circuit_gates(params))
+    if shots is None:
+        return prob_one(state, ttn.READOUT_QUBIT)
+    return sample_shots(state, ttn.READOUT_QUBIT, shots)
+
+
+def reference_gradient(raw, params, scaler):
+    grad = np.empty(ttn.N_PARAMS)
+    shifted = params.copy()
+    for k in range(ttn.N_PARAMS):
+        theta = params.thetas[k]
+        shifted.thetas[k] = theta + math.pi / 2.0
+        plus = reference_forward(raw, shifted, scaler)
+        shifted.thetas[k] = theta - math.pi / 2.0
+        minus = reference_forward(raw, shifted, scaler)
+        shifted.thetas[k] = theta
+        grad[k] = 0.5 * (plus - minus)
+    return grad
+
+
+def reference_step(g, params, scaler, cfg):
+    w_true, w_fake = training.class_weights(g)
+    loss_sum = 0.0
+    grad_sum = np.zeros_like(params.thetas)
+    for edge in g.edges:
+        raw = training.edge_raw_features(g, edge)
+        pred = reference_forward(raw, params, scaler)
+        loss_sum += training.weighted_bce(pred, edge[2], w_true, w_fake)
+        dl_dp = training._bce_dpred(pred, edge[2], w_true, w_fake)
+        if dl_dp != 0.0:
+            grad_sum += dl_dp * reference_gradient(raw, params, scaler)
+    n = len(g.edges)
+    return ttn.TTNParams(params.thetas - cfg.learning_rate * grad_sum / n), loss_sum / n
+
+
+def reference_predictions(subgraphs, params, scaler, shots=None):
+    """(subgraph, edge, pred) per edge, shot seeds shots.seed + edge index."""
+    edges = [(g, edge) for g in subgraphs for edge in g.edges]
+    out = []
+    for n, (g, edge) in enumerate(edges):
+        edge_shots = ShotConfig(shots.n_shots, shots.seed + n) if shots else None
+        out.append((g, edge, reference_forward(training.edge_raw_features(g, edge), params, scaler, edge_shots)))
+    return out
+
+
+def reference_confusion(subgraphs, params, scaler, threshold):
+    """(tp, fp, tn, fn) of the reference predictions."""
+    counts = {(t, p): 0 for t in (True, False) for p in (True, False)}
+    for _, edge, pred in reference_predictions(subgraphs, params, scaler):
+        counts[bool(edge[2]), bool(pred >= threshold)] += 1
+    return counts[True, True], counts[False, True], counts[False, False], counts[True, False]
+
+
+def reference_train(train_set, test_set, cfg, initial_params, scaler):
+    """Final params, (update, subgraph, loss) per update and (epoch,
+    train_loss, confusion counts or None) per epoch."""
+    usable = [g for g in train_set if g.edges]
+    rng = np.random.default_rng(cfg.seed)
+    params = initial_params.copy()
+    updates, epochs = [], []
+    for epoch in range(cfg.epochs):
+        losses = []
+        for i in rng.permutation(len(usable)):
+            params, loss = reference_step(usable[i], params, scaler, cfg)
+            updates.append((len(updates), subgraph_dirname(usable[i]), loss))
+            losses.append(loss)
+        counts = (
+            reference_confusion(test_set, params, scaler, cfg.threshold)
+            if any(g.edges for g in test_set)
+            else None
+        )
+        epochs.append((epoch, sum(losses) / len(losses), counts))
+    return params, updates, epochs

@@ -184,6 +184,15 @@ class TestTrain:
     def test_bad_config_value(self, tmp_path, subgraphs_dir):
         assert run(["train", "--data", subgraphs_dir, "--out", tmp_path / "x", "--split-ratio", "1.5"]) == 1
 
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_epochs_below_one_usage_error(self, tmp_path, subgraphs_dir, capsys, epochs):
+        assert run(["train", "--data", subgraphs_dir, "--out", tmp_path / "x", "--epochs", epochs]) == 1
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"data={subgraphs_dir}\nepochs={epochs}\n")
+        assert run(["train", "--out", tmp_path / "y", "--config", cfg]) == 1
+        assert "--epochs" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "model.txt").exists() and not (tmp_path / "y" / "model.txt").exists()
+
 
 class TestEvalPredict:
     @pytest.fixture
@@ -276,6 +285,20 @@ class TestConfigFile:
 
     def test_missing_config(self, tmp_path):
         assert run(["gen", "--out", tmp_path / "o", "--config", tmp_path / "none.txt"]) == 1
+
+    def test_unknown_key_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("trakcs=5\n")
+        assert run(["gen", "--out", tmp_path / "o", "--config", cfg]) == 1
+        assert f"{cfg}: unknown config key 'trakcs'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_keys_and_other_commands_options_allowed(self, tmp_path):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("command=train\nmanifest_version=qseed-1\nduration_s=1.5\nepochs=3\nshot_seed=2\ntracks=4\n")
+        out = tmp_path / "o"
+        assert run(["gen", "--out", out, "--config", cfg]) == 0
+        assert read_config_file(str(out / "gen_manifest.txt"))["tracks"] == "4"
 
 
 def _outputs(root):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qseed.errors import DataError
+from qseed.statevector import ShotConfig
 from qseed.hitgraph import SubGraph
 from qseed import training, ttn
 from qseed.training import (
@@ -18,7 +19,13 @@ from qseed.training import (
     weighted_bce,
 )
 
-from conftest import make_separable_subgraphs
+from conftest import (
+    make_separable_subgraphs,
+    random_subgraph,
+    reference_predictions,
+    reference_step,
+    reference_train,
+)
 
 
 def small_dataset(seed=5, n_subgraphs=12, edges_per=6):
@@ -226,3 +233,83 @@ def test_history_serialization(tmp_path):
     epoch_lines = epochs.read_text().splitlines()
     assert epoch_lines[0] == "epoch,train_loss,purity,efficiency,accuracy"
     assert len(epoch_lines) == 2
+
+
+# --- the batched scoring path against the per-edge gate-list reference -------
+
+
+def mixed_dataset(seed, n_subgraphs=10):
+    """Random subgraphs (some without edges) and a scaler fitted on the first
+    half, so features of the rest fall outside its range and are clamped."""
+    rng = np.random.default_rng(seed)
+    subs = [random_subgraph(rng) for _ in range(n_subgraphs)]
+    subs = [SubGraph(i, g.sector, g.nodes, g.edges) for i, g in enumerate(subs)]
+    fit_on = [g for g in subs[: n_subgraphs // 2] if g.edges] or [g for g in subs if g.edges][:1]
+    return subs, ttn.fit_scaler(training.collect_features(fit_on))
+
+
+class TestBatchedScoring:
+    def test_subgraph_step_equals_reference(self):
+        cfg = TrainConfig(learning_rate=0.3)
+        rng = np.random.default_rng(40)
+        subs, scaler = mixed_dataset(41, n_subgraphs=8)
+        for g in subs:
+            if not g.edges:
+                continue
+            params = ttn.TTNParams(rng.uniform(0, 2 * math.pi, 11))
+            got_params, got_loss = subgraph_step(g, params, scaler, cfg)
+            want_params, want_loss = reference_step(g, params, scaler, cfg)
+            assert got_params.thetas.tolist() == want_params.thetas.tolist()
+            assert got_loss == want_loss
+            assert subgraph_loss(g, params, scaler) == want_loss
+
+    def test_all_predictions_clamped_take_no_gradient_row(self, monkeypatch):
+        # zero angles and zero features give P = 0 exactly: every edge sits in
+        # the BCE clamp, so its loss gradient is zero
+        g = SubGraph(0, (0, 0), [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], [(0, 1, 1), (1, 0, 0), (0, 1, 0)])
+        scaler = ttn.FeatureScaler(np.array([1.0, 0, 0, 2.0, 0, 0]), np.array([2.0, 1, 1, 3.0, 1, 1]))
+        params = ttn.TTNParams(np.zeros(11))
+        rows = []
+        batch = training.gradient_batch
+        monkeypatch.setattr(training, "gradient_batch", lambda a, p: rows.append(len(a)) or batch(a, p))
+        cfg = TrainConfig(learning_rate=1.0)
+        new_params, loss = subgraph_step(g, params, scaler, cfg)
+        assert rows == [0]
+        assert np.array_equal(new_params.thetas, params.thetas)
+        want_params, want_loss = reference_step(g, params, scaler, cfg)
+        assert loss == want_loss and np.array_equal(want_params.thetas, params.thetas)
+
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_train_equals_reference(self, seed):
+        subs, scaler = mixed_dataset(seed)
+        tr, te = split_dataset(subs, 0.7, seed)
+        cfg = TrainConfig(epochs=2, learning_rate=0.2, seed=seed)
+        initial = ttn.init_params(seed)
+        params, history = train(tr, te, cfg, initial, scaler)
+        want_params, want_updates, want_epochs = reference_train(tr, te, cfg, initial, scaler)
+        assert params.thetas.tolist() == want_params.thetas.tolist()
+        assert [(r.update, r.subgraph, r.loss) for r in history.updates] == want_updates
+        got_epochs = [
+            (r.epoch, r.train_loss, (r.metrics.tp, r.metrics.fp, r.metrics.tn, r.metrics.fn) if r.metrics else None)
+            for r in history.epochs
+        ]
+        assert got_epochs == want_epochs
+
+    @pytest.mark.parametrize("shots", [None, ShotConfig(50, 7)], ids=["analytic", "shots"])
+    def test_edge_predictions_equal_reference(self, shots):
+        subs, scaler = mixed_dataset(44, n_subgraphs=12)
+        params = ttn.init_params(44)
+        got = list(training.edge_predictions(subs, params, scaler, shots))
+        want = reference_predictions(subs, params, scaler, shots)
+        assert [(g.event_id, e, p) for g, e, p in got] == [(g.event_id, e, p) for g, e, p in want]
+        assert all(type(p) is float for _, _, p in got)  # repr writes a plain number
+
+    def test_clamp_count_counts_each_scored_edge_once(self):
+        subs, scaler = mixed_dataset(45, n_subgraphs=12)
+        per_edge = ttn.FeatureScaler(scaler.mins, scaler.maxs)
+        for g in subs:
+            for e in g.edges:
+                per_edge.transform(training.edge_raw_features(g, e))
+        assert per_edge.clamp_count > 0
+        list(training.edge_predictions(subs, ttn.init_params(1), scaler))
+        assert scaler.clamp_count == per_edge.clamp_count

@@ -17,7 +17,6 @@ from qseed.ttn import (
     FeatureScaler,
     TTNParams,
     circuit_gates,
-    encode_features,
     encoding_gates,
     fit_scaler,
     init_params,
@@ -26,6 +25,8 @@ from qseed.ttn import (
     ttn_forward,
     ttn_gradient,
 )
+
+from conftest import encode_features, reference_forward, reference_gradient, reference_prob
 
 UNIT_SCALER = FeatureScaler(np.zeros(6), np.ones(6))
 
@@ -239,3 +240,101 @@ class TestPersistence:
         path.write_text("[scaler]\n0.0 1.0\n[params]\n1.0\n[meta]\nlayout=ttn-v1\n")
         with pytest.raises(ParseError):
             load_model(str(path))
+
+
+class TestBatched:
+    """forward_batch and gradient_batch equal the gate-list simulator with ==."""
+
+    @staticmethod
+    def random_angles(rng, n):
+        return rng.uniform(0.0, 2 * math.pi, (n, 6))
+
+    @staticmethod
+    def check_forward(angles, thetas):
+        got = ttn.forward_batch(angles, thetas)
+        assert got.shape == (len(thetas), len(angles))
+        for k, t in enumerate(thetas):
+            params = TTNParams(t)
+            want = [reference_prob(a, params) for a in angles]
+            assert got[k].tolist() == want
+
+    def test_forward_random(self):
+        rng = np.random.default_rng(30)
+        self.check_forward(self.random_angles(rng, 40), rng.uniform(-10, 10, (3, 11)))
+
+    def test_forward_clamped_extremes(self):
+        # every corner of the angle cube: each feature clamped to 0 or 2 pi
+        corners = np.array([[2 * math.pi * ((i >> q) & 1) for q in range(6)] for i in range(64)])
+        rng = np.random.default_rng(31)
+        thetas = np.vstack([np.zeros(11), np.full(11, 2 * math.pi), rng.uniform(0, 2 * math.pi, 11)])
+        self.check_forward(corners, thetas)
+
+    def test_clamped_raw_features(self):
+        rng = np.random.default_rng(32)
+        scaler = random_scaler(rng)
+        raw = rng.uniform(scaler.mins - 100, scaler.maxs + 100, (50, 6))
+        angles = scaler.transform(raw)
+        assert np.any(angles == 0.0) and np.any(angles == 2 * math.pi)
+        self.check_forward(angles, rng.uniform(0, 2 * math.pi, (1, 11)))
+
+    @pytest.mark.parametrize("n_sets, n_edges", [(1, 255), (1, 256), (1, 257), (3, 500), (300, 2)])
+    def test_row_counts_around_batch_rows(self, n_sets, n_edges):
+        assert ttn.BATCH_ROWS == 256
+        rng = np.random.default_rng(n_sets * 1000 + n_edges)
+        self.check_forward(self.random_angles(rng, n_edges), rng.uniform(0, 2 * math.pi, (n_sets, 11)))
+
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        angles = self.random_angles(rng, 37)
+        thetas = rng.uniform(0, 2 * math.pi, (5, 11))
+        whole = ttn.forward_batch(angles, thetas)
+        for rows in (1, 7, 36, 37, 38):
+            monkeypatch.setattr(ttn, "BATCH_ROWS", rows)
+            assert np.array_equal(ttn.forward_batch(angles, thetas), whole)
+
+    @pytest.mark.parametrize("n_sets, n_edges", [(1, 600), (22, 68), (300, 2)])
+    def test_blocks_hold_at_most_batch_rows(self, monkeypatch, n_sets, n_edges):
+        rows = []
+        ry = ttn._ry
+        monkeypatch.setattr(ttn, "_ry", lambda psi, *args: rows.append(psi.shape[-1]) or ry(psi, *args))
+        rng = np.random.default_rng(36)
+        ttn.forward_batch(self.random_angles(rng, n_edges), rng.uniform(0, 2 * math.pi, (n_sets, 11)))
+        assert max(rows) <= ttn.BATCH_ROWS
+        assert sum(rows) >= n_sets * n_edges * 11  # every row takes the tree's 11 rotations
+
+    def test_no_edges(self):
+        assert ttn.forward_batch(np.empty((0, 6)), np.zeros((2, 11))).shape == (2, 0)
+        assert ttn.gradient_batch(np.empty((0, 6)), init_params(0)).shape == (0, 11)
+
+    @pytest.mark.parametrize("n_edges", [11, 12, 68])  # 242, 264 and 1,496 rows
+    def test_gradient_matches_per_row_shift(self, n_edges):
+        rng = np.random.default_rng(34 + n_edges)
+        angles = self.random_angles(rng, n_edges)
+        angles[0] = 0.0
+        angles[1] = 2 * math.pi
+        params = TTNParams(rng.uniform(0, 2 * math.pi, 11))
+        got = ttn.gradient_batch(angles, params)
+        assert got.shape == (n_edges, 11)
+        for a, row in zip(angles, got):
+            want = np.empty(11)
+            shifted = params.copy()
+            for k in range(11):
+                theta = params.thetas[k]
+                shifted.thetas[k] = theta + math.pi / 2.0
+                plus = reference_prob(a, shifted)
+                shifted.thetas[k] = theta - math.pi / 2.0
+                minus = reference_prob(a, shifted)
+                shifted.thetas[k] = theta
+                want[k] = 0.5 * (plus - minus)
+            assert row.tolist() == want.tolist()
+
+    def test_scalar_calls_equal_reference(self):
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            scaler = random_scaler(rng)
+            raw = rng.uniform(scaler.mins - 20, scaler.maxs + 20)
+            params = TTNParams(rng.uniform(0, 2 * math.pi, 11))
+            assert ttn_forward(raw, params, scaler) == reference_forward(raw, params, scaler)
+            shots = ShotConfig(100, int(rng.integers(1000)))
+            assert ttn_forward(raw, params, scaler, shots) == reference_forward(raw, params, scaler, shots)
+            assert ttn_gradient(raw, params, scaler).tolist() == reference_gradient(raw, params, scaler).tolist()
