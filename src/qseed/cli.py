@@ -97,6 +97,13 @@ def command(name: str):
     return register
 
 
+def _check_threshold(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # click.FloatRange would let 'nan' through: every comparison with NaN is false.
+    if not 0.0 < value < 1.0:
+        raise click.BadParameter(f"{value} is not in the open interval (0, 1).")
+    return value
+
+
 def _load_subgraphs(data_dir: str):
     paths = sorted(glob.glob(os.path.join(data_dir, "evt*_s*")))
     if not paths:
@@ -116,7 +123,7 @@ def _model_and_data(model: str, data: str):
 @click.option("--events", type=click.IntRange(min=1), default=1)
 @click.option("--tracks", type=int, default=20)
 @click.option("--noise", type=int, default=0)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--pt-min", type=float, default=1.0)
 @click.option("--pt-max", type=float, default=5.0)
 @click.option("--z0-spread", type=float, default=30.0)
@@ -206,11 +213,11 @@ def cmd_preprocess(out, pt_min, dphi_max, z0_max, eta_min, eta_max, cut_mode, pt
 @click.option("--epochs", type=click.IntRange(min=1), default=2)
 @click.option("--lr", type=float, default=0.01)
 @click.option("--split-ratio", type=float, default=0.9)
-@click.option("--threshold", type=float, default=0.5)
-@click.option("--seed", type=int, default=0)
-@click.option("--split-seed", type=int, show_default="seed + 1")
-@click.option("--init-seed", type=int, show_default="seed + 2")
-@click.option("--shuffle-seed", type=int, show_default="seed + 3")
+@click.option("--threshold", type=float, default=0.5, callback=_check_threshold)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--split-seed", type=click.IntRange(min=0), show_default="seed + 1")
+@click.option("--init-seed", type=click.IntRange(min=0), show_default="seed + 2")
+@click.option("--shuffle-seed", type=click.IntRange(min=0), show_default="seed + 3")
 def cmd_train(out, data, epochs, lr, split_ratio, threshold, seed, split_seed, init_seed, shuffle_seed):
     """Train the tree-circuit classifier on preprocessed subgraphs."""
     seeds = {
@@ -273,9 +280,9 @@ def _metrics_report(m: training.Metrics) -> str:
 @command("eval")
 @click.option("--data", required=True, type=click.Path())
 @click.option("--model", required=True, type=click.Path())
-@click.option("--threshold", type=float, default=0.5)
+@click.option("--threshold", type=float, default=0.5, callback=_check_threshold)
 @click.option("--shots", type=click.IntRange(min=0), default=0)
-@click.option("--shot-seed", type=int, default=0)
+@click.option("--shot-seed", type=click.IntRange(min=0), default=0)
 def cmd_eval(out, data, model, threshold, shots, shot_seed):
     """Evaluate a trained model; optionally with shot-based readout."""
     params, scaler, subgraphs = _model_and_data(model, data)
@@ -293,7 +300,7 @@ def cmd_eval(out, data, model, threshold, shots, shot_seed):
 @click.option("--data", required=True, type=click.Path())
 @click.option("--model", required=True, type=click.Path())
 @click.option("--shots", type=click.IntRange(min=0), default=0)
-@click.option("--shot-seed", type=int, default=0)
+@click.option("--shot-seed", type=click.IntRange(min=0), default=0)
 def cmd_predict(out, data, model, shots, shot_seed):
     """Write per-edge truth probabilities for a subgraph set."""
     params, scaler, subgraphs = _model_and_data(model, data)

@@ -435,6 +435,21 @@ def write_subgraph(g: SubGraph, root: str) -> str:
     return path
 
 
+def _subgraph_rows(path: str, header: str) -> List[str]:
+    """The lines of a subgraph CSV after its checked header line. One final
+    empty string is dropped, so the lines are those that iterating the text
+    file gives (universal newlines, so CRLF too)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(f"{path}:1: missing header")
+    if lines[0] != header:
+        raise ParseError(f"{path}:1: bad header {lines[0]!r}")
+    return lines[1:]
+
+
 def read_subgraph(path: str) -> SubGraph:
     """Inverse of write_subgraph; exact round trip."""
     name = os.path.basename(os.path.normpath(path))
@@ -445,49 +460,37 @@ def read_subgraph(path: str) -> SubGraph:
 
     nodes: List[Tuple[float, float, float]] = []
     nodes_path = os.path.join(path, "nodes.csv")
-    with open(nodes_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.rstrip("\n")
-            if lineno == 1:
-                if text != "local_id,r,phi,z":
-                    raise ParseError(f"{nodes_path}:1: bad header {text!r}")
-                continue
-            parts = text.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"{nodes_path}:{lineno}: expected 4 fields")
-            try:
-                local_id = int(parts[0])
-                r, phi, z = (float(p) for p in parts[1:])
-            except ValueError as exc:
-                raise ParseError(f"{nodes_path}:{lineno}: {exc}") from exc
-            if local_id != len(nodes):
-                raise ParseError(
-                    f"{nodes_path}:{lineno}: local_id {local_id} out of order"
-                )
-            nodes.append((r, phi, z))
+    for lineno, text in enumerate(_subgraph_rows(nodes_path, "local_id,r,phi,z"), start=2):
+        parts = text.split(",")
+        if len(parts) != 4:
+            raise ParseError(f"{nodes_path}:{lineno}: expected 4 fields")
+        try:
+            local_id = int(parts[0])
+            node = (float(parts[1]), float(parts[2]), float(parts[3]))
+        except ValueError as exc:
+            raise ParseError(f"{nodes_path}:{lineno}: {exc}") from exc
+        if local_id != len(nodes):
+            raise ParseError(
+                f"{nodes_path}:{lineno}: local_id {local_id} out of order"
+            )
+        nodes.append(node)
 
     edges: List[Tuple[int, int, int]] = []
     edges_path = os.path.join(path, "edges.csv")
-    with open(edges_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.rstrip("\n")
-            if lineno == 1:
-                if text != "src,dst,label":
-                    raise ParseError(f"{edges_path}:1: bad header {text!r}")
-                continue
-            parts = text.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{edges_path}:{lineno}: expected 3 fields")
-            try:
-                src, dst, label = (int(p) for p in parts)
-            except ValueError as exc:
-                raise ParseError(f"{edges_path}:{lineno}: {exc}") from exc
-            if not (0 <= src < len(nodes) and 0 <= dst < len(nodes)):
-                raise ParseError(
-                    f"{edges_path}:{lineno}: edge endpoint out of range"
-                )
-            if label not in (0, 1):
-                raise ParseError(f"{edges_path}:{lineno}: label must be 0 or 1")
-            edges.append((src, dst, label))
+    for lineno, text in enumerate(_subgraph_rows(edges_path, "src,dst,label"), start=2):
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"{edges_path}:{lineno}: expected 3 fields")
+        try:
+            src, dst, label = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"{edges_path}:{lineno}: {exc}") from exc
+        if not (0 <= src < len(nodes) and 0 <= dst < len(nodes)):
+            raise ParseError(
+                f"{edges_path}:{lineno}: edge endpoint out of range"
+            )
+        if label not in (0, 1):
+            raise ParseError(f"{edges_path}:{lineno}: label must be 0 or 1")
+        edges.append((src, dst, label))
 
     return SubGraph(event_id, (phi_sector, z_half), nodes, edges)

@@ -36,8 +36,8 @@ class TrainConfig:
             raise ValueError("split_ratio must be in (0, 1)")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and non-negative")
 
 
 @dataclass
@@ -206,15 +206,18 @@ def edge_predictions(
 ) -> Iterator[Tuple[SubGraph, Tuple[int, int, int], float]]:
     """(subgraph, edge, pred) for every edge of every subgraph, in order.
 
-    Each subgraph is scored in one forward_batch. In shot mode each edge gets
-    its own derived seed (shots.seed + edge index, counted across subgraphs)
-    so estimates are independent yet reproducible.
+    The whole set is scored in one forward_batch, whose rows are independent,
+    so each prediction has the bits of scoring its edge alone. In shot mode
+    each edge gets its own derived seed (shots.seed + edge index, counted
+    across subgraphs) so estimates are independent yet reproducible.
     """
+    # the empty block keeps np.concatenate defined for a set without edges
+    raw = np.concatenate([np.empty((0, N_FEATURES))] + [subgraph_features(g) for g in subgraphs])
+    preds = forward_batch(scaler.transform(raw), params.thetas)[0].tolist()
     n = 0
     for g in subgraphs:
-        if not g.edges:
-            continue
-        for edge, pred in zip(g.edges, _score_subgraph(g, params, scaler)[1]):
+        for edge in g.edges:
+            pred = preds[n]
             if shots:
                 pred = shot_estimate(pred, ShotConfig(shots.n_shots, shots.seed + n))
             yield g, edge, pred

@@ -152,10 +152,13 @@ def _ry(psi: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray) -> None:
 
 def _cnot(psi: np.ndarray, control: int, target: int) -> None:
     """Swap the target's 0 and 1 amplitudes where the control bit is 1."""
-    v = np.moveaxis(psi, (N_FEATURES - 1 - control, N_FEATURES - 1 - target), (0, 1))
-    tmp = v[1, 0].copy()
-    v[1, 0] = v[1, 1]
-    v[1, 1] = tmp
+    v = psi[_axis(control, 1)]
+    # indexing drops the control axis, so a target axis behind it moves down one
+    lead = (slice(None),) * (N_FEATURES - 1 - target - (target < control))
+    a0, a1 = v[lead + (0,)], v[lead + (1,)]
+    tmp = a0.copy()
+    a0[...] = a1
+    a1[...] = tmp
 
 
 def _encode(angles: np.ndarray) -> np.ndarray:

@@ -194,6 +194,15 @@ class TestTrain:
         assert not (tmp_path / "x" / "model.txt").exists() and not (tmp_path / "y" / "model.txt").exists()
 
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_usage_error(self, tmp_path, subgraphs_dir, capsys, lr):
+        assert run(["train", "--data", subgraphs_dir, "--out", tmp_path / "x", "--lr", lr]) == 1
+        err = capsys.readouterr().err
+        assert "learning_rate must be finite and non-negative" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x" / "model.txt").exists()
+
+
 class TestEvalPredict:
     @pytest.fixture
     def model_dir(self, tmp_path, subgraphs_dir):
@@ -242,6 +251,18 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert "model.txt: parameters must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["nodes.csv", "edges.csv"])
+    def test_empty_subgraph_csv_is_data_error(self, tmp_path, subgraphs_dir, capsys, name):
+        model = tmp_path / "model.txt"
+        ttn.save_model(str(model), ttn.init_params(0), ttn.FeatureScaler(np.zeros(6), np.ones(6)), 0)
+        truncated = sorted(subgraphs_dir.glob("evt*_s*"))[-1] / name
+        truncated.write_text("")
+        capsys.readouterr()
+        assert run(["eval", "--data", subgraphs_dir, "--model", model, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {truncated}:1: missing header\n"
+        assert not (tmp_path / "o").exists()
 
     def test_predict(self, tmp_path, subgraphs_dir, model_dir):
         out = tmp_path / "pred"
@@ -299,6 +320,53 @@ class TestConfigFile:
         out = tmp_path / "o"
         assert run(["gen", "--out", out, "--config", cfg]) == 0
         assert read_config_file(str(out / "gen_manifest.txt"))["tracks"] == "4"
+
+
+SEED_OPTIONS = [
+    ("gen", "--seed"),
+    ("train", "--seed"),
+    ("train", "--split-seed"),
+    ("train", "--init-seed"),
+    ("train", "--shuffle-seed"),
+    ("eval", "--shot-seed"),
+    ("predict", "--shot-seed"),
+]
+
+
+def _required_args(tmp_path, command):
+    """Placeholder inputs: the value checks run before any input is read."""
+    return {
+        "gen": [],
+        "train": ["--data", tmp_path / "d"],
+        "eval": ["--data", tmp_path / "d", "--model", tmp_path / "m.txt"],
+        "predict": ["--data", tmp_path / "d", "--model", tmp_path / "m.txt"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, option", SEED_OPTIONS)
+def test_negative_seed_usage_error(tmp_path, capsys, command, option):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"{option[2:].replace('-', '_')}=-1\n")
+    args = [command, *_required_args(tmp_path, command), "--out", tmp_path / "o"]
+    assert run([*args, option, "-1"]) == 1
+    assert run([*args, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"'{option}': -1 is not in the range x>=0.") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("value", ["2", "-1", "0", "1", "nan"])
+def test_threshold_outside_open_unit_interval_usage_error(tmp_path, capsys, command, value):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"threshold={value}\n")
+    args = [command, *_required_args(tmp_path, command), "--out", tmp_path / "o"]
+    assert run([*args, "--threshold", value]) == 1
+    assert run([*args, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"'--threshold': {float(value)} is not in the open interval (0, 1).") == 2
+    assert not (tmp_path / "o").exists()
 
 
 def _outputs(root):

@@ -596,6 +596,53 @@ class TestSubgraphRoundTrip:
         with pytest.raises(ParseError):
             hg.read_subgraph(str(tmp_path / "whatever"))
 
+    @staticmethod
+    def two_edge_graph(tmp_path):
+        g = hg.SubGraph(1, (0, 0), [(1.0, 0.5, -2.0), (2.0, 0.25, 3.0)], [(0, 1, 1), (1, 0, 0)])
+        return g, hg.write_subgraph(g, str(tmp_path))
+
+    @staticmethod
+    def rewrite(path, text):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+    @pytest.mark.parametrize("name", ["nodes.csv", "edges.csv"])
+    def test_crlf_and_missing_final_newline_read_the_same(self, tmp_path, name):
+        g, path = self.two_edge_graph(tmp_path)
+        csv_path = os.path.join(path, name)
+        text = open(csv_path, encoding="utf-8").read()
+        crlf = text.replace("\n", "\r\n")
+        header, rows = text.split("\n", 1)
+        # a form feed ends a line for str.splitlines, not for file iteration
+        form_feed = header + "\n" + rows.replace("\n", "\x0c\n")
+        for variant in (crlf, text[:-1], crlf[:-2], form_feed):
+            self.rewrite(csv_path, variant)
+            assert hg.read_subgraph(path) == g
+
+    @pytest.mark.parametrize("name, fields", [("nodes.csv", 4), ("edges.csv", 3)])
+    def test_blank_line_is_error_at_its_line(self, tmp_path, name, fields):
+        _, path = self.two_edge_graph(tmp_path)
+        csv_path = os.path.join(path, name)
+        header, row1, row2, _ = open(csv_path, encoding="utf-8").read().split("\n")
+        for lineno, variant in (
+            (3, f"{header}\n{row1}\n\n{row2}\n"),  # blank interior line
+            (3, f"{header}\r\n{row1}\r\n\r\n{row2}\r\n"),
+            (4, f"{header}\n{row1}\n{row2}\n\n"),  # two final newlines
+        ):
+            self.rewrite(csv_path, variant)
+            with pytest.raises(ParseError) as exc:
+                hg.read_subgraph(path)
+            assert str(exc.value) == f"{csv_path}:{lineno}: expected {fields} fields"
+
+    @pytest.mark.parametrize("name", ["nodes.csv", "edges.csv"])
+    def test_empty_file_is_missing_header(self, tmp_path, name):
+        _, path = self.two_edge_graph(tmp_path)
+        csv_path = os.path.join(path, name)
+        self.rewrite(csv_path, "")
+        with pytest.raises(ParseError) as exc:
+            hg.read_subgraph(path)
+        assert str(exc.value) == f"{csv_path}:1: missing header"
+
 
 def test_truth_doublet_recall_with_generous_cuts(tmp_path):
     # zero-noise events: every consecutive-layer pair of a generated track

@@ -313,3 +313,26 @@ class TestBatchedScoring:
         assert per_edge.clamp_count > 0
         list(training.edge_predictions(subs, ttn.init_params(1), scaler))
         assert scaler.clamp_count == per_edge.clamp_count
+
+    @pytest.mark.parametrize("shots", [None, ShotConfig(20, 9)], ids=["analytic", "shots"])
+    def test_edge_predictions_score_whole_set_in_one_forward(self, monkeypatch, shots):
+        subs, scaler = mixed_dataset(46, n_subgraphs=60)
+        n_edges = sum(len(g.edges) for g in subs)
+        assert n_edges > ttn.BATCH_ROWS and any(not g.edges for g in subs)
+        rows = []
+        forward = training.forward_batch
+        monkeypatch.setattr(training, "forward_batch", lambda a, t: rows.append(len(a)) or forward(a, t))
+        params = ttn.init_params(46)
+        got = list(training.edge_predictions(subs, params, scaler, shots))
+        assert rows == [n_edges]
+        want = reference_predictions(subs, params, scaler, shots)
+        assert [(g.event_id, e, p) for g, e, p in got] == [(g.event_id, e, p) for g, e, p in want]
+
+    def test_clamp_count_after_evaluate_metrics_is_per_edge_count(self):
+        subs, scaler = mixed_dataset(47, n_subgraphs=60)
+        per_edge = ttn.FeatureScaler(scaler.mins, scaler.maxs)
+        for g in subs:
+            for e in g.edges:
+                per_edge.transform(training.edge_raw_features(g, e))
+        evaluate_metrics(subs, ttn.init_params(2), scaler)
+        assert scaler.clamp_count == per_edge.clamp_count > 0

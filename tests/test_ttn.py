@@ -6,7 +6,9 @@ import pytest
 from qseed.errors import DataError, ParseError
 from qseed.statevector import (
     ShotConfig,
+    StateVector,
     apply_circuit,
+    apply_cnot,
     apply_ry,
     dense_unitary_oracle,
     new_zero_state,
@@ -301,6 +303,19 @@ class TestBatched:
         ttn.forward_batch(self.random_angles(rng, n_edges), rng.uniform(0, 2 * math.pi, (n_sets, 11)))
         assert max(rows) <= ttn.BATCH_ROWS
         assert sum(rows) >= n_sets * n_edges * 11  # every row takes the tree's 11 rotations
+
+    def test_cnot_equals_apply_cnot(self):
+        rng = np.random.default_rng(37)
+        block = rng.standard_normal((2,) * 6 + (5,))
+        pairs = [(c, t) for c in range(6) for t in range(6) if c != t]
+        assert len(pairs) == 30
+        for control, target in pairs:
+            got = block.copy()
+            ttn._cnot(got, control, target)
+            for row in range(block.shape[-1]):
+                state = StateVector(6, block[..., row].astype(complex).ravel())
+                apply_cnot(state, control, target)
+                assert got[..., row].ravel().tolist() == state.amplitudes.real.tolist()
 
     def test_no_edges(self):
         assert ttn.forward_batch(np.empty((0, 6)), np.zeros((2, 11))).shape == (2, 0)
