@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import glob
 import os
+import re
 import sys
 import time
 from typing import Dict, Optional
@@ -133,24 +134,24 @@ def cmd_gen(out, events, tracks, noise, seed, pt_min, pt_max, z0_spread, smear, 
     """Generate synthetic event CSV triplets."""
     os.makedirs(out, exist_ok=True)
     for event_id in range(1, events + 1):
-        try:
-            gen_cfg = synthgen.GeneratorConfig(
-                n_tracks=tracks,
-                pt_range=(pt_min, pt_max),
-                noise_hits=noise,
-                b_field=b_field,
-                z0_spread=z0_spread,
-                smear_sigma=smear,
-                seed=seed + event_id,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        gen_cfg = synthgen.GeneratorConfig(
+            n_tracks=tracks,
+            pt_range=(pt_min, pt_max),
+            noise_hits=noise,
+            b_field=b_field,
+            z0_spread=z0_spread,
+            smear_sigma=smear,
+            seed=seed + event_id,
+        )
         data = synthgen.gen_event(gen_cfg)
         synthgen.write_event(data, *synthgen.event_paths(out, event_id))
         click.echo(
             f"event {event_id}: {len(data.hits)} hits "
             f"({len(data.particles)} tracks, {noise} noise)"
         )
+
+
+_HITS_NAME_RE = re.compile(r"event(\d+)-hits\.csv")
 
 
 @command("preprocess")
@@ -165,26 +166,29 @@ def cmd_gen(out, events, tracks, noise, seed, pt_min, pt_max, z0_spread, smear, 
 def cmd_preprocess(out, pt_min, dphi_max, z0_max, eta_min, eta_max, cut_mode, pt_mode, **paths):
     """Build labeled subgraphs from event CSV triplets."""
     in_dir = paths["in"]  # `in` is a Python keyword, so it cannot be a parameter name
-    try:
-        cuts = hitgraph.SelectionCuts(
-            pt_min=pt_min,
-            dphi_slope_max=dphi_max,
-            z0_max=z0_max,
-            eta_range=(eta_min, eta_max),
-            cut_mode=cut_mode,
-            pt_mode=pt_mode,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cuts = hitgraph.SelectionCuts(
+        pt_min=pt_min,
+        dphi_slope_max=dphi_max,
+        z0_max=z0_max,
+        eta_range=(eta_min, eta_max),
+        cut_mode=cut_mode,
+        pt_mode=pt_mode,
+    )
 
     hits_files = sorted(glob.glob(os.path.join(in_dir, "event*-hits.csv")))
     if not hits_files:
         raise DataError(f"no event*-hits.csv files under {in_dir}")
+    # Every name is checked before any subgraph is written.
+    event_ids = []
+    for hits_path in hits_files:
+        m = _HITS_NAME_RE.fullmatch(os.path.basename(hits_path))
+        if not m:
+            raise DataError(f"{hits_path}: file name not of the form event<ID>-hits.csv")
+        event_ids.append(int(m.group(1)))
     os.makedirs(out, exist_ok=True)
     total = 0
-    for hits_path in hits_files:
+    for hits_path, event_id in zip(hits_files, event_ids):
         stem = hits_path[: -len("-hits.csv")]
-        event_id = int(os.path.basename(stem)[len("event"):])
         hits = hitgraph.select_barrel_hits(
             hitgraph.load_event(hits_path, f"{stem}-particles.csv", f"{stem}-truth.csv")
         )
@@ -225,16 +229,13 @@ def cmd_train(out, data, epochs, lr, split_ratio, threshold, seed, split_seed, i
         "init_seed": seed + 2 if init_seed is None else init_seed,
         "shuffle_seed": seed + 3 if shuffle_seed is None else shuffle_seed,
     }
-    try:
-        train_cfg = training.TrainConfig(
-            epochs=epochs,
-            learning_rate=lr,
-            split_ratio=split_ratio,
-            threshold=threshold,
-            seed=seeds["shuffle_seed"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    train_cfg = training.TrainConfig(
+        epochs=epochs,
+        learning_rate=lr,
+        split_ratio=split_ratio,
+        threshold=threshold,
+        seed=seeds["shuffle_seed"],
+    )
 
     subgraphs = _load_subgraphs(data)
     train_set, test_set = training.split_dataset(

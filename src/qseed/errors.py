@@ -11,8 +11,12 @@ class QSeedError(Exception):
     exit_code: int
 
 
-class UsageError(QSeedError):
-    """Bad flags or configuration values."""
+class UsageError(QSeedError, ValueError):
+    """Bad flags or configuration values.
+
+    Also a ValueError, so a configuration class that raises it on a bad
+    field value keeps the conventional exception type for library callers.
+    """
 
     exit_code = 1
 

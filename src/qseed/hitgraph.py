@@ -9,6 +9,7 @@ row indices into it.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import re
@@ -17,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError
+from .errors import DataError, ParseError, SchemaError, UsageError
 
 BARREL_VOLUMES = (8, 13, 17)
 N_PHI_SECTORS = 8
@@ -75,14 +76,15 @@ class SelectionCuts:
     pt_mode: str = "label"  # "label": pt cut at labeling, "filter": drop hits
 
     def __post_init__(self) -> None:
-        if self.pt_min <= 0 or self.dphi_slope_max <= 0 or self.z0_max <= 0:
-            raise ValueError("cut values must be positive")
-        if self.eta_range[0] >= self.eta_range[1]:
-            raise ValueError("eta_range must be an increasing pair")
+        # Written so that NaN fails each check; +inf stays a valid "no cut".
+        if not (self.pt_min > 0 and self.dphi_slope_max > 0 and self.z0_max > 0):
+            raise UsageError("cut values must be positive")
+        if not self.eta_range[0] < self.eta_range[1]:
+            raise UsageError("eta_range must be an increasing pair")
         if self.cut_mode not in ("slope", "raw"):
-            raise ValueError(f"unknown cut_mode {self.cut_mode!r}")
+            raise UsageError(f"unknown cut_mode {self.cut_mode!r}")
         if self.pt_mode not in ("label", "filter"):
-            raise ValueError(f"unknown pt_mode {self.pt_mode!r}")
+            raise UsageError(f"unknown pt_mode {self.pt_mode!r}")
 
 
 @dataclass
@@ -460,7 +462,8 @@ def read_subgraph(path: str) -> SubGraph:
 
     nodes: List[Tuple[float, float, float]] = []
     nodes_path = os.path.join(path, "nodes.csv")
-    for lineno, text in enumerate(_subgraph_rows(nodes_path, "local_id,r,phi,z"), start=2):
+    rows = _subgraph_rows(nodes_path, "local_id,r,phi,z")
+    for lineno, text in enumerate(rows, start=2):
         parts = text.split(",")
         if len(parts) != 4:
             raise ParseError(f"{nodes_path}:{lineno}: expected 4 fields")
@@ -474,6 +477,16 @@ def read_subgraph(path: str) -> SubGraph:
                 f"{nodes_path}:{lineno}: local_id {local_id} out of order"
             )
         nodes.append(node)
+    # One sum screens the whole file: it is finite when every coordinate is.
+    # Only a failed screen (or a finite sum that overflowed) looks for the line.
+    if not math.isfinite(sum(itertools.chain.from_iterable(nodes))):
+        finite = np.isfinite(np.array(nodes))
+        if not finite.all():
+            i, j = divmod(int(np.argmin(finite)), 3)
+            raise ParseError(
+                f"{nodes_path}:{i + 2}: non-finite value {rows[i].split(',')[j + 1]!r} "
+                f"in column '{('r', 'phi', 'z')[j]}'"
+            )
 
     edges: List[Tuple[int, int, int]] = []
     edges_path = os.path.join(path, "edges.csv")

@@ -14,6 +14,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .errors import UsageError
+
 # Approximate barrel layer radii in mm, innermost first.
 DEFAULT_LAYER_RADII = (32.0, 72.0, 116.0, 172.0, 260.0, 360.0, 500.0, 660.0, 820.0, 1020.0)
 
@@ -45,11 +47,18 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         radii = tuple(self.layer_radii)
         if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("layer radii must be strictly increasing")
-        if self.pt_range[0] <= 0 or self.pt_range[1] < self.pt_range[0]:
-            raise ValueError("pt_range must be positive and ordered")
+            raise UsageError("layer radii must be strictly increasing")
+        # The checks of the physics values are written so that NaN fails them.
+        if not 0 < self.pt_range[0] <= self.pt_range[1] < math.inf:
+            raise UsageError("pt_range must be finite, positive and ordered")
         if self.n_tracks < 0 or self.noise_hits < 0:
-            raise ValueError("counts must be non-negative")
+            raise UsageError("counts must be non-negative")
+        if not 0 < self.b_field < math.inf:
+            raise UsageError("b_field must be finite and positive")
+        if not 0 <= self.z0_spread < math.inf:
+            raise UsageError("z0_spread must be finite and non-negative")
+        if not 0 <= self.smear_sigma < math.inf:
+            raise UsageError("smear_sigma must be finite and non-negative")
         self.layer_radii = radii
 
 

@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, UsageError
 from .hitgraph import SubGraph, subgraph_dirname
 from .statevector import ShotConfig, shot_estimate
 from .ttn import N_FEATURES, FeatureScaler, TTNParams, forward_batch, gradient_batch
@@ -33,11 +33,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.split_ratio < 1.0:
-            raise ValueError("split_ratio must be in (0, 1)")
+            raise UsageError("split_ratio must be in (0, 1)")
         if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
+            raise UsageError("threshold must be in (0, 1)")
         if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and non-negative")
+            raise UsageError("learning_rate must be finite and non-negative")
 
 
 @dataclass
@@ -194,8 +194,16 @@ def subgraph_step(
     for i, grad in zip(used, gradient_batch(angles[used], params)):
         grad_sum += dl_dp[i] * grad
     n = len(g.edges)
-    new_params = TTNParams(params.thetas - cfg.learning_rate * grad_sum / n)
-    return new_params, loss_sum / n
+    # The check below reports an overflow, so numpy need not warn of it too.
+    # A NaN prediction makes its loss gradient NaN, so the check covers it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = params.thetas - cfg.learning_rate * grad_sum / n
+    if not np.all(np.isfinite(thetas)):
+        raise NumericError(
+            f"subgraph {subgraph_dirname(g)}: the update gives non-finite parameters "
+            f"(learning rate {cfg.learning_rate!r})"
+        )
+    return TTNParams(thetas), loss_sum / n
 
 
 def edge_predictions(
@@ -270,11 +278,6 @@ def train(
         for i in order:
             g = usable[i]
             params, loss = subgraph_step(g, params, scaler, cfg)
-            if not math.isfinite(loss) or not np.all(np.isfinite(params.thetas)):
-                raise NumericError(
-                    f"non-finite loss or parameters at update {update} "
-                    f"(subgraph {subgraph_dirname(g)})"
-                )
             history.updates.append(UpdateRecord(update, subgraph_dirname(g), loss))
             epoch_losses.append(loss)
             update += 1

@@ -74,6 +74,8 @@ class FeatureScaler:
         self.maxs = np.asarray(self.maxs, dtype=float)
         if self.mins.shape != (N_FEATURES,) or self.maxs.shape != (N_FEATURES,):
             raise ValueError("scaler needs bounds for all 6 features")
+        if not (np.all(np.isfinite(self.mins)) and np.all(np.isfinite(self.maxs))):
+            raise ValueError("scaler bounds must be finite")
         if not np.all(self.maxs > self.mins):
             raise ValueError("every feature must have max > min")
 

@@ -1,17 +1,26 @@
 import glob
 import math
 import os
+import re
 
+import click
 import numpy as np
 import pytest
 
 from qseed import hitgraph, training, ttn
-from qseed.cli import main, read_config_file
+from qseed.cli import cli, main, read_config_file
 from qseed.errors import UsageError
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _config_file(tmp_path, args):
+    """A config file that sets the options of the flag list `args`."""
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("".join(f"{k[2:].replace('-', '_')}={v}\n" for k, v in zip(args[::2], args[1::2])))
+    return cfg
 
 
 @pytest.fixture
@@ -49,6 +58,28 @@ class TestGen:
         cfg.write_text("events=0\n")
         assert run(["gen", "--out", tmp_path / "y", "--config", cfg]) == 1
         assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--b-field", "0"], "b_field must be finite and positive"),
+            (["--b-field", "inf"], "b_field must be finite and positive"),
+            (["--b-field", "nan"], "b_field must be finite and positive"),
+            (["--pt-min", "0.3", "--pt-max", "0.4", "--b-field", "-2"], "b_field must be finite and positive"),
+            (["--z0-spread", "-1"], "z0_spread must be finite and non-negative"),
+            (["--z0-spread", "nan"], "z0_spread must be finite and non-negative"),
+            (["--z0-spread", "inf"], "z0_spread must be finite and non-negative"),
+            (["--smear", "-1"], "smear_sigma must be finite and non-negative"),
+            (["--pt-min", "nan"], "pt_range must be finite, positive and ordered"),
+            (["--pt-max", "inf"], "pt_range must be finite, positive and ordered"),
+            (["--tracks", "-1"], "counts must be non-negative"),
+        ],
+    )
+    def test_bad_generator_value_usage_error(self, tmp_path, capsys, args, message):
+        assert run(["gen", "--out", tmp_path / "x", *args]) == 1
+        assert run(["gen", "--out", tmp_path / "y", "--config", _config_file(tmp_path, args)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_noise_rows(self, tmp_path):
         out = tmp_path / "g"
@@ -101,6 +132,41 @@ class TestPreprocess:
         capsys.readouterr()
         assert run(["preprocess", "--in", events, "--out", tmp_path / "s", "--pt-mode", "filter", "--pt-min", "1.5"]) == 0
         assert f"event 1: {expected} hits kept," in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--pt-min", "0"], "cut values must be positive"),
+            (["--pt-min", "nan"], "cut values must be positive"),
+            (["--dphi-max", "nan"], "cut values must be positive"),
+            (["--z0-max", "nan"], "cut values must be positive"),
+            (["--eta-min", "1", "--eta-max", "0"], "eta_range must be an increasing pair"),
+            (["--eta-min", "nan"], "eta_range must be an increasing pair"),
+            (["--eta-max", "nan"], "eta_range must be an increasing pair"),
+        ],
+    )
+    def test_bad_cut_value_usage_error(self, tmp_path, events_dir, capsys, args, message):
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "x", *args]) == 1
+        cfg = _config_file(tmp_path, args)
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "y", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
+        assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("option", ["--z0-max", "--dphi-max"])
+    def test_infinite_cut_is_no_cut(self, tmp_path, events_dir, option):
+        """+inf passes every doublet, as a finite cut too wide to bind does."""
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "inf", option, "inf"]) == 0
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "wide", option, "1e300"]) == 0
+        assert _outputs(tmp_path / "inf") == _outputs(tmp_path / "wide")
+
+    def test_bad_hits_file_name_is_data_error(self, tmp_path, events_dir, capsys):
+        bad = events_dir / "eventfoo-hits.csv"
+        bad.write_bytes((events_dir / "event000000001-hits.csv").read_bytes())
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: file name not of the form event<ID>-hits.csv\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_coordinate_is_data_error(self, tmp_path, events_dir, capsys, cell):
@@ -202,6 +268,25 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (tmp_path / "x" / "model.txt").exists()
 
+    def test_divergence_is_numeric_error(self, tmp_path, capsys):
+        events, data = tmp_path / "ev", tmp_path / "sub"
+        assert run(["gen", "--out", events, "--events", "2", "--tracks", "50", "--noise", "100", "--seed", "7"]) == 0
+        assert run(["preprocess", "--in", events, "--out", data]) == 0
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--out", tmp_path / "m", "--lr", "1e308"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: subgraph evt\d+_s\d\d: the update gives non-finite parameters \(learning rate 1e\+308\)\n", err
+        )
+        assert not (tmp_path / "m").exists()
+
+    def test_no_subgraph_directories_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "empty"
+        data.mkdir()
+        assert run(["train", "--data", data, "--out", tmp_path / "m"]) == 2
+        assert capsys.readouterr().err == f"error: no subgraph directories under {data}\n"
+        assert not (tmp_path / "m").exists()
+
 
 class TestEvalPredict:
     @pytest.fixture
@@ -263,6 +348,55 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert err == f"error: {truncated}:1: missing header\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [
+            ("nodes.csv", "1,2.0,x,3.0", "could not convert string to float: 'x'"),
+            ("nodes.csv", "2,2.0,0.25,3.0", "local_id 2 out of order"),
+            ("nodes.csv", "1,inf,0.25,3.0", "non-finite value 'inf' in column 'r'"),
+            ("nodes.csv", "1,2.0,nan,3.0", "non-finite value 'nan' in column 'phi'"),
+            ("nodes.csv", "1,2.0,0.25,-inf", "non-finite value '-inf' in column 'z'"),
+            ("edges.csv", "0,2,1", "edge endpoint out of range"),
+            ("edges.csv", "0,1,2", "label must be 0 or 1"),
+        ],
+    )
+    def test_bad_subgraph_row_is_data_error(self, tmp_path, subgraphs_dir, capsys, name, row, message):
+        """A two-node, two-edge subgraph whose file `name` has `row` as its line 3."""
+        model = _model_file(tmp_path, subgraphs_dir)
+        graph = sorted(subgraphs_dir.glob("evt*_s*"))[-1]
+        files = {
+            "nodes.csv": ["local_id,r,phi,z", "0,1.0,0.5,-2.0", "1,2.0,0.25,3.0"],
+            "edges.csv": ["src,dst,label", "1,0,0", "0,1,1"],
+        }
+        files[name][2] = row
+        for file, lines in files.items():
+            (graph / file).write_text("\n".join(lines) + "\n")
+        path = graph / name
+        capsys.readouterr()
+        for command in ("eval", "predict"):
+            assert run([command, "--data", subgraphs_dir, "--model", model, "--out", tmp_path / command]) == 2
+            assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
+            assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: ["0.0 1.0"] + lines, ":1: content before any section header"),
+            (lambda lines: [x for i, x in enumerate(lines) if i != lines.index("[params]") + 1],
+             ": expected 11 parameter lines, got 10"),
+            (lambda lines: lines[:-1] + ["layout=ttn-v2"], ": unsupported layout tag 'ttn-v2'"),
+            (lambda lines: lines[:1] + ["-inf inf"] + lines[2:], ": scaler bounds must be finite"),
+        ],
+        ids=["before-header", "param-count", "layout-tag", "infinite-scaler"],
+    )
+    def test_malformed_model_file_is_data_error(self, tmp_path, subgraphs_dir, capsys, edit, message):
+        model = _model_file(tmp_path, subgraphs_dir)
+        model.write_text("\n".join(edit(model.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert run(["predict", "--data", subgraphs_dir, "--model", model, "--out", tmp_path / "p"]) == 2
+        assert capsys.readouterr().err == f"error: {model}{message}\n"
+        assert not (tmp_path / "p").exists()
 
     def test_predict(self, tmp_path, subgraphs_dir, model_dir):
         out = tmp_path / "pred"
@@ -369,6 +503,14 @@ def test_threshold_outside_open_unit_interval_usage_error(tmp_path, capsys, comm
     assert not (tmp_path / "o").exists()
 
 
+def _model_file(tmp_path, data):
+    """An untrained model whose scaler is fitted on every subgraph under `data`."""
+    graphs = [hitgraph.read_subgraph(p) for p in sorted(glob.glob(str(data / "evt*_s*")))]
+    model = tmp_path / "model.txt"
+    ttn.save_model(str(model), ttn.init_params(3), ttn.fit_scaler(training.collect_features(graphs)), 3)
+    return model
+
+
 def _outputs(root):
     """Bytes of every file under root except the manifest, by relative path."""
     return {
@@ -399,10 +541,7 @@ def test_manifest_alone_reruns_command(tmp_path, request, command):
         ]
     else:
         data = request.getfixturevalue("subgraphs_dir")
-        graphs = [hitgraph.read_subgraph(p) for p in sorted(glob.glob(str(data / "evt*_s*")))]
-        model = tmp_path / "model.txt"
-        ttn.save_model(str(model), ttn.init_params(3), ttn.fit_scaler(training.collect_features(graphs)), 3)
-        args = ["--data", data, "--model", model, "--shots", "100", "--shot-seed", "2"]
+        args = ["--data", data, "--model", _model_file(tmp_path, data), "--shots", "100", "--shot-seed", "2"]
         if command == "eval":
             args += ["--threshold", "0.4"]
     first, again = tmp_path / "first", tmp_path / "again"
@@ -415,6 +554,37 @@ def test_manifest_alone_reruns_command(tmp_path, request, command):
 
     assert manifest(again) == manifest(first)
     assert _outputs(first) and _outputs(again) == _outputs(first)
+
+
+FLOAT_OPTIONS = [
+    (name, param.opts[0])
+    for name, command in sorted(cli.commands.items())
+    for param in command.params
+    if isinstance(param.type, click.types.FloatParamType)
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option", FLOAT_OPTIONS)
+def test_non_finite_float_option_exits_cleanly(tmp_path, request, capsys, command, option, value):
+    """Every float option of every command, given a non-finite value, ends
+    in a documented exit code; a run that succeeds writes only finite
+    numbers. The manifest is not read: it records the option as given."""
+    if command == "gen":
+        args = []
+    elif command == "preprocess":
+        args = ["--in", request.getfixturevalue("events_dir")]
+    else:
+        data = request.getfixturevalue("subgraphs_dir")
+        args = ["--data", data] + (["--model", _model_file(tmp_path, data)] if command == "eval" else [])
+    capsys.readouterr()
+    out = tmp_path / "o"
+    code = run([command, *args, "--out", out, option, value])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 0:
+        for path, data in _outputs(out).items():
+            assert not re.search(rb"nan|inf", data, re.IGNORECASE), path
 
 
 def test_unknown_command_is_usage_error():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qseed.cli import main
-from qseed.errors import DataError, ParseError, SchemaError
+from qseed.errors import DataError, ParseError, SchemaError, UsageError
 from qseed import hitgraph as hg
 from qseed import synthgen
 
@@ -240,6 +240,25 @@ class TestSelectBarrelHits:
         radii = synthgen.DEFAULT_LAYER_RADII
         for r, k in zip(hits.r.tolist(), hits.layer_index.tolist()):
             assert r == pytest.approx(radii[k], abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"pt_min": 0.0}, "cut values must be positive"),
+        ({"dphi_slope_max": math.nan}, "cut values must be positive"),
+        ({"z0_max": -math.inf}, "cut values must be positive"),
+        ({"eta_range": (1.0, 1.0)}, "eta_range must be an increasing pair"),
+        ({"eta_range": (math.nan, 5.0)}, "eta_range must be an increasing pair"),
+        ({"cut_mode": "box"}, "unknown cut_mode 'box'"),
+        ({"pt_mode": "drop"}, "unknown pt_mode 'drop'"),
+    ],
+)
+def test_invalid_cuts_are_usage_errors(kwargs, message):
+    with pytest.raises(UsageError) as exc:
+        hg.SelectionCuts(**kwargs)
+    assert str(exc.value) == message
+    assert exc.value.exit_code == 1 and isinstance(exc.value, ValueError)
 
 
 def test_filter_low_pt_hits():
@@ -576,6 +595,11 @@ class TestSubgraphRoundTrip:
             root = tmp_path / f"g{i}"
             path = hg.write_subgraph(g, str(root))
             assert hg.read_subgraph(path) == g
+
+    def test_finite_coordinates_whose_sum_overflows(self, tmp_path):
+        g = hg.SubGraph(1, (0, 0), [(1e308, 3.0, 1e308), (1.5e308, -3.0, -1.0)], [(0, 1, 1)])
+        path = hg.write_subgraph(g, str(tmp_path))
+        assert hg.read_subgraph(path) == g
 
     def test_malformed_edges_line_number(self, tmp_path):
         g = hg.SubGraph(1, (0, 0), [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], [(0, 1, 1)])

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qseed.errors import DataError
+from qseed.errors import DataError, NumericError, UsageError
 from qseed.statevector import ShotConfig
-from qseed.hitgraph import SubGraph
+from qseed.hitgraph import SubGraph, subgraph_dirname
 from qseed import training, ttn
 from qseed.training import (
     Metrics,
@@ -142,6 +142,29 @@ class TestSubgraphStep:
         subs, scaler = small_dataset()
         with pytest.raises(DataError):
             subgraph_step(SubGraph(0, (0, 0), [], []), ttn.init_params(0), scaler, TrainConfig())
+
+    def test_nan_prediction_is_numeric_error_naming_the_subgraph(self, monkeypatch):
+        # a NaN prediction makes its loss gradient NaN, and so the new angles
+        subs, scaler = small_dataset()
+        monkeypatch.setattr(training, "forward_batch", lambda angles, thetas: np.full((1, len(angles)), np.nan))
+        with pytest.raises(NumericError, match=f"^subgraph {subgraph_dirname(subs[0])}: .*non-finite parameters"):
+            subgraph_step(subs[0], ttn.init_params(0), scaler, TrainConfig())
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"threshold": 1.0}, "threshold must be in (0, 1)"),
+        ({"threshold": math.nan}, "threshold must be in (0, 1)"),
+        ({"split_ratio": 0.0}, "split_ratio must be in (0, 1)"),
+        ({"learning_rate": -1.0}, "learning_rate must be finite and non-negative"),
+    ],
+)
+def test_invalid_train_config_is_usage_error(kwargs, message):
+    with pytest.raises(UsageError) as exc:
+        TrainConfig(**kwargs)
+    assert str(exc.value) == message
+    assert exc.value.exit_code == 1 and isinstance(exc.value, ValueError)
 
 
 class TestTrain:
