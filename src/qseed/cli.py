@@ -132,7 +132,6 @@ def _model_and_data(model: str, data: str):
 @click.option("--b-field", type=float, default=2.0)
 def cmd_gen(out, events, tracks, noise, seed, pt_min, pt_max, z0_spread, smear, b_field):
     """Generate synthetic event CSV triplets."""
-    os.makedirs(out, exist_ok=True)
     for event_id in range(1, events + 1):
         gen_cfg = synthgen.GeneratorConfig(
             n_tracks=tracks,
@@ -144,6 +143,7 @@ def cmd_gen(out, events, tracks, noise, seed, pt_min, pt_max, z0_spread, smear, 
             seed=seed + event_id,
         )
         data = synthgen.gen_event(gen_cfg)
+        os.makedirs(out, exist_ok=True)  # after the checks, so a bad value writes nothing
         synthgen.write_event(data, *synthgen.event_paths(out, event_id))
         click.echo(
             f"event {event_id}: {len(data.hits)} hits "
@@ -179,15 +179,18 @@ def cmd_preprocess(out, pt_min, dphi_max, z0_max, eta_min, eta_max, cut_mode, pt
     if not hits_files:
         raise DataError(f"no event*-hits.csv files under {in_dir}")
     # Every name is checked before any subgraph is written.
-    event_ids = []
+    paths_by_id = {}
     for hits_path in hits_files:
         m = _HITS_NAME_RE.fullmatch(os.path.basename(hits_path))
         if not m:
             raise DataError(f"{hits_path}: file name not of the form event<ID>-hits.csv")
-        event_ids.append(int(m.group(1)))
+        event_id = int(m.group(1))
+        if event_id in paths_by_id:
+            raise DataError(f"{paths_by_id[event_id]} and {hits_path} are both event {event_id}")
+        paths_by_id[event_id] = hits_path
     os.makedirs(out, exist_ok=True)
     total = 0
-    for hits_path, event_id in zip(hits_files, event_ids):
+    for event_id, hits_path in paths_by_id.items():
         stem = hits_path[: -len("-hits.csv")]
         hits = hitgraph.select_barrel_hits(
             hitgraph.load_event(hits_path, f"{stem}-particles.csv", f"{stem}-truth.csv")
@@ -256,7 +259,7 @@ def cmd_train(out, data, epochs, lr, split_ratio, threshold, seed, split_seed, i
         os.path.join(out, "epochs.csv"),
     )
     for rec in history.epochs:
-        acc = rec.metrics.accuracy if rec.metrics else None
+        acc = rec.metrics.accuracy
         acc_text = f"{acc:.4f}" if acc is not None else "n/a"
         click.echo(
             f"epoch {rec.epoch}: train_loss={rec.train_loss:.4f} "
@@ -289,6 +292,8 @@ def cmd_eval(out, data, model, threshold, shots, shot_seed):
     params, scaler, subgraphs = _model_and_data(model, data)
     shot_cfg = ShotConfig(shots, shot_seed) if shots > 0 else None
     metrics = training.evaluate_metrics(subgraphs, params, scaler, threshold, shot_cfg)
+    if metrics.total == 0:
+        raise DataError("no edges to evaluate")
     os.makedirs(out, exist_ok=True)
     report = _metrics_report(metrics)
     with open(os.path.join(out, "metrics.txt"), "w", encoding="utf-8") as fh:

@@ -77,7 +77,7 @@ class UpdateRecord:
 class EpochRecord:
     epoch: int
     train_loss: float
-    metrics: Optional[Metrics]
+    metrics: Metrics
 
 
 @dataclass
@@ -151,26 +151,6 @@ def class_weights(g: SubGraph) -> Tuple[float, float]:
     return w_true, w_fake
 
 
-def _score_subgraph(
-    g: SubGraph, params: TTNParams, scaler: FeatureScaler
-) -> Tuple[np.ndarray, List[float]]:
-    """Encoding angles (E, 6) and analytic predictions of the subgraph's
-    edges, from one forward_batch."""
-    angles = scaler.transform(subgraph_features(g))
-    return angles, forward_batch(angles, params.thetas)[0].tolist()
-
-
-def subgraph_loss(g: SubGraph, params: TTNParams, scaler: FeatureScaler) -> float:
-    """Mean weighted BCE over the subgraph's edges (no update)."""
-    if not g.edges:
-        raise DataError("subgraph has no edges")
-    w_true, w_fake = class_weights(g)
-    total = 0.0
-    for (_, _, label), pred in zip(g.edges, _score_subgraph(g, params, scaler)[1]):
-        total += weighted_bce(pred, label, w_true, w_fake)
-    return total / len(g.edges)
-
-
 def subgraph_step(
     g: SubGraph, params: TTNParams, scaler: FeatureScaler, cfg: TrainConfig
 ) -> Tuple[TTNParams, float]:
@@ -183,7 +163,8 @@ def subgraph_step(
     if not g.edges:
         raise DataError("subgraph has no edges")
     w_true, w_fake = class_weights(g)
-    angles, preds = _score_subgraph(g, params, scaler)
+    angles = scaler.transform(subgraph_features(g))
+    preds = forward_batch(angles, params.thetas)[0].tolist()
     loss_sum = 0.0
     dl_dp = []
     for (_, _, label), pred in zip(g.edges, preds):
@@ -239,13 +220,12 @@ def evaluate_metrics(
     threshold: float = 0.5,
     shots: Optional[ShotConfig] = None,
 ) -> Metrics:
-    """Confusion counts over all edges; predicted true when pred >= threshold."""
+    """Confusion counts over all edges; predicted true when pred >= threshold.
+    A set without edges gives zero counts."""
     counts = Counter(
         (bool(edge[2]), bool(pred >= threshold))
         for _, edge, pred in edge_predictions(subgraphs, params, scaler, shots)
     )
-    if not counts:
-        raise DataError("no edges to evaluate")
     return Metrics(
         tp=counts[True, True],
         fp=counts[False, True],
@@ -266,7 +246,6 @@ def train(
     usable = [g for g in train_set if g.edges]
     if not usable:
         raise DataError("training set has no subgraph with edges")
-    test_has_edges = any(g.edges for g in test_set)
 
     rng = np.random.default_rng(cfg.seed)
     params = initial_params.copy()
@@ -281,11 +260,7 @@ def train(
             history.updates.append(UpdateRecord(update, subgraph_dirname(g), loss))
             epoch_losses.append(loss)
             update += 1
-        metrics = (
-            evaluate_metrics(test_set, params, scaler, cfg.threshold)
-            if test_has_edges
-            else None
-        )
+        metrics = evaluate_metrics(test_set, params, scaler, cfg.threshold)
         history.epochs.append(
             EpochRecord(epoch, sum(epoch_losses) / len(epoch_losses), metrics)
         )
@@ -318,9 +293,7 @@ def write_history(history: History, updates_path: str, epochs_path: str) -> None
         fh.write("epoch,train_loss,purity,efficiency,accuracy\n")
         for rec in history.epochs:
             m = rec.metrics
-            purity = _fmt_opt(m.purity) if m else ""
-            efficiency = _fmt_opt(m.efficiency) if m else ""
-            accuracy = _fmt_opt(m.accuracy) if m else ""
             fh.write(
-                f"{rec.epoch},{rec.train_loss!r},{purity},{efficiency},{accuracy}\n"
+                f"{rec.epoch},{rec.train_loss!r},"
+                f"{_fmt_opt(m.purity)},{_fmt_opt(m.efficiency)},{_fmt_opt(m.accuracy)}\n"
             )

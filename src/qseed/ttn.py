@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DataError, ParseError
-from .statevector import GateOp, ShotConfig, shot_estimate
+from .statevector import GateOp
 
 N_FEATURES = 6
 N_PARAMS = 11
@@ -229,27 +229,6 @@ def gradient_batch(angles: np.ndarray, params: TTNParams) -> np.ndarray:
         shifted[2 * k + 1, k] = theta - math.pi / 2.0
     p = forward_batch(angles, shifted)
     return (0.5 * (p[0::2] - p[1::2])).T
-
-
-def ttn_forward(
-    raw: Sequence[float],
-    params: TTNParams,
-    scaler: FeatureScaler,
-    shots: Optional[ShotConfig] = None,
-) -> float:
-    """Edge-truth probability of one edge: readout P(|1>) of qubit 3.
-
-    Analytic when shots is None, otherwise estimated from seeded samples.
-    """
-    p = float(forward_batch(scaler.transform(raw), params.thetas)[0, 0])
-    return p if shots is None else shot_estimate(p, shots)
-
-
-def ttn_gradient(
-    raw: Sequence[float], params: TTNParams, scaler: FeatureScaler
-) -> np.ndarray:
-    """Parameter-shift gradient of one edge's analytic forward output."""
-    return gradient_batch(scaler.transform(raw), params)[0]
 
 
 def init_params(seed: int) -> TTNParams:

@@ -243,7 +243,7 @@ def reference_confusion(subgraphs, params, scaler, threshold):
 
 def reference_train(train_set, test_set, cfg, initial_params, scaler):
     """Final params, (update, subgraph, loss) per update and (epoch,
-    train_loss, confusion counts or None) per epoch."""
+    train_loss, confusion counts) per epoch."""
     usable = [g for g in train_set if g.edges]
     rng = np.random.default_rng(cfg.seed)
     params = initial_params.copy()
@@ -254,10 +254,6 @@ def reference_train(train_set, test_set, cfg, initial_params, scaler):
             params, loss = reference_step(usable[i], params, scaler, cfg)
             updates.append((len(updates), subgraph_dirname(usable[i]), loss))
             losses.append(loss)
-        counts = (
-            reference_confusion(test_set, params, scaler, cfg.threshold)
-            if any(g.edges for g in test_set)
-            else None
-        )
+        counts = reference_confusion(test_set, params, scaler, cfg.threshold)
         epochs.append((epoch, sum(losses) / len(losses), counts))
     return params, updates, epochs

@@ -4,13 +4,16 @@ The traced benchmark wraps qseed functions by name and reads counters from
 their arguments and return values. A change to a traced signature breaks
 those hooks, and the traced benchmark then fails its operations. These tests
 run train, eval and predict in-process under the tracer and check that every
-hook runs and that its counters equal counts made from the subgraphs.
+hook runs and that its counters equal counts made from the subgraphs. gen
+and preprocess run under the tracer too, and their counters equal the
+numbers the two commands print.
 """
 
 import glob
 import importlib.util
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -102,3 +105,41 @@ def test_scoring_runs_no_per_edge_simulator(spans, subgraphs_dir, tmp_path):
         calls = traced(spans, argv)["calls"]
         off_path = [n for n in calls if n.startswith(("statevector.", "ttn.ttn_forward", "ttn.ttn_gradient"))]
         assert off_path == []
+
+
+PREPROCESS_LINE = re.compile(
+    r"^event \d+: \d+ hits kept, (\d+) doublets .*?, (\d+) cross-sector dropped, "
+    r"(\d+) zero-dr skipped, (\d+) missing-truth$",
+    re.M,
+)
+
+
+def test_hooks_count_gen_preprocess(spans, tmp_path, capsys):
+    events = tmp_path / "events"
+    capsys.readouterr()
+    phase = traced(spans, ["gen", "--out", events, "--events", "2", "--tracks", "8", "--noise", "10", "--seed", "5"])
+    printed_hits = [int(h) for h in re.findall(r"^event \d+: (\d+) hits", capsys.readouterr().out, re.M)]
+    assert phase["calls"]["cli.gen"] == 1 and len(printed_hits) == 2
+    assert phase["counts"]["synthgen.hits"] == sum(printed_hits) > 0
+
+    # Give event 1 hits without truth rows and a layer-1 hit at the radius of a
+    # layer-0 hit, so that every preprocess counter has something to count.
+    truth = events / "event000000001-truth.csv"
+    truth_rows = truth.read_text().splitlines(keepends=True)
+    truth.write_text("".join(truth_rows[:1] + truth_rows[6:]))  # the first track's first five hits
+    hits = events / "event000000001-hits.csv"
+    rows = [line.split(",") for line in hits.read_text().splitlines()]
+    inner = next(r for r in rows[1:] if r[4:] == ["8", "2"])
+    outer = next(r for r in rows[1:] if r[4:] == ["8", "4"])
+    outer[1:3] = inner[1:3]
+    hits.write_text("".join(",".join(r) + "\n" for r in rows))
+    phase = traced(spans, ["preprocess", "--in", events, "--out", tmp_path / "subgraphs"])
+    lines = PREPROCESS_LINE.findall(capsys.readouterr().out)
+    assert phase["calls"]["cli.preprocess"] == 1 and len(lines) == 2
+    doublets, dropped, zero_dr, missing = (sum(int(line[i]) for line in lines) for i in range(4))
+    counts = phase["counts"]
+    assert counts["hitgraph.doublets"] == doublets > 0
+    assert counts["hitgraph.cross_sector_dropped"] == dropped > 0
+    assert counts["hitgraph.zero_dr_skipped"] == zero_dr > 0
+    assert counts["hitgraph.missing_truth"] == missing > 0
+    assert counts["hitgraph.pairs_considered"] > 0

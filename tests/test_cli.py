@@ -41,6 +41,12 @@ def subgraphs_dir(tmp_path, events_dir):
     return out
 
 
+PT_BOUND_MESSAGE = (
+    "pt_range must not exceed 60000.0 GeV at b_field 2.0 T: "
+    "a larger bending radius than 1e+08 mm puts hits off their layers"
+)
+
+
 class TestGen:
     def test_byte_stable_across_reruns(self, tmp_path):
         outs = []
@@ -73,6 +79,9 @@ class TestGen:
             (["--pt-min", "nan"], "pt_range must be finite, positive and ordered"),
             (["--pt-max", "inf"], "pt_range must be finite, positive and ordered"),
             (["--tracks", "-1"], "counts must be non-negative"),
+            (["--pt-max", "1e308"], PT_BOUND_MESSAGE),
+            (["--pt-max", "1e12"], PT_BOUND_MESSAGE),
+            (["--pt-max", "1e7", "--b-field", "100"], PT_BOUND_MESSAGE.replace("60000.0", "3000000.0").replace("2.0 T", "100.0 T")),
         ],
     )
     def test_bad_generator_value_usage_error(self, tmp_path, capsys, args, message):
@@ -80,6 +89,7 @@ class TestGen:
         assert run(["gen", "--out", tmp_path / "y", "--config", _config_file(tmp_path, args)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n" * 2
         assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
     def test_noise_rows(self, tmp_path):
         out = tmp_path / "g"
@@ -166,6 +176,15 @@ class TestPreprocess:
         capsys.readouterr()
         assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == f"error: {bad}: file name not of the form event<ID>-hits.csv\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_two_files_of_one_event_are_data_error(self, tmp_path, events_dir, capsys):
+        first = events_dir / "event000000001-hits.csv"
+        for suffix in ("hits", "particles", "truth"):
+            (events_dir / f"event01-{suffix}.csv").write_bytes((events_dir / f"event000000001-{suffix}.csv").read_bytes())
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {first} and {events_dir / 'event01-hits.csv'} are both event 1\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -280,6 +299,21 @@ class TestTrain:
         )
         assert not (tmp_path / "m").exists()
 
+    def test_test_split_without_edges_has_no_validation_metrics(self, tmp_path, capsys):
+        events, data, out = tmp_path / "ev", tmp_path / "sub", tmp_path / "m"
+        assert run(["gen", "--out", events, "--events", "1", "--tracks", "2", "--seed", "3"]) == 0
+        assert run(["preprocess", "--in", events, "--out", data]) == 0
+        graphs = [hitgraph.read_subgraph(p) for p in sorted(glob.glob(str(data / "evt*_s*")))]
+        _, test_set = training.split_dataset(graphs, 0.9, 2)  # the split seed of --seed 1
+        assert not any(g.edges for g in test_set)
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--out", out, "--epochs", "2", "--seed", "1"]) == 0
+        stdout = capsys.readouterr().out
+        rows = (out / "epochs.csv").read_text().splitlines()
+        assert rows[0] == "epoch,train_loss,purity,efficiency,accuracy"
+        assert [re.fullmatch(r"(\d+),([^,]+),,,", row).group(1) for row in rows[1:]] == ["0", "1"]
+        assert stdout.count("val_accuracy=n/a") == 2
+
     def test_no_subgraph_directories_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "empty"
         data.mkdir()
@@ -315,6 +349,16 @@ class TestEvalPredict:
     def test_missing_model(self, tmp_path, subgraphs_dir):
         code = run(["eval", "--data", subgraphs_dir, "--model", tmp_path / "none.txt", "--out", tmp_path / "o"])
         assert code == 2
+
+    def test_eval_without_edges_is_data_error(self, tmp_path, subgraphs_dir, capsys):
+        events, empty = tmp_path / "ev0", tmp_path / "sub0"
+        assert run(["gen", "--out", events, "--tracks", "0", "--noise", "0"]) == 0
+        assert run(["preprocess", "--in", events, "--out", empty]) == 0
+        model = _model_file(tmp_path, subgraphs_dir)
+        capsys.readouterr()
+        assert run(["eval", "--data", empty, "--model", model, "--out", tmp_path / "e"]) == 2
+        assert capsys.readouterr().err == "error: no edges to evaluate\n"
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_negative_shots_usage_error(self, tmp_path, capsys, command):

@@ -33,3 +33,65 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# The reference simulator serves the tests and the benchmark's oracle check,
+# and the benchmark builds its oracle circuits from these two ttn functions.
+REFERENCE_MODULES = {"statevector.py"}
+READ_OUTSIDE_PRODUCT = {("ttn.py", "encoding_gates"), ("ttn.py", "circuit_gates")}
+
+
+def _registers_command(decorator):
+    """True for `@command(...)` or `@<group>.command(...)`: click calls the
+    function it registers."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "command"
+
+
+def unreferenced_definitions(sources):
+    """(module, name) for each top-level function or class, and each public
+    method, whose name no module of `sources` (module -> source) reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not any(_registers_command(d) for d in node.decorator_list):
+                    defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (module, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_checker_finds_unreferenced_definition():
+    source = (
+        "def used():\n    pass\n\n"
+        "def unused():\n    used()\n\n"
+        "class A:\n    def read(self):\n        pass\n\n    def unread(self):\n        pass\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "A().read()\n\n"
+        "@command('x')\ndef registered():\n    pass\n"
+    )
+    assert unreferenced_definitions({"m.py": source}) == [("m.py", "unread"), ("m.py", "unused")]
+
+
+def test_every_definition_has_a_product_caller():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = [
+        f"{module}: {name}"
+        for module, name in unreferenced_definitions(sources)
+        if module not in REFERENCE_MODULES and (module, name) not in READ_OUTSIDE_PRODUCT
+    ]
+    assert found == []

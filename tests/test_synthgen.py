@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from qseed import synthgen
-from qseed.synthgen import DEFAULT_LAYER_RADII, GeneratorConfig, gen_event, helix_radius_mm, write_event
+from qseed.synthgen import (
+    DEFAULT_LAYER_RADII,
+    GeneratorConfig,
+    gen_event,
+    helix_radius_mm,
+    max_track_pt,
+    write_event,
+)
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -36,7 +43,8 @@ def test_hits_sit_on_layer_radii():
 
 def test_straight_line_limit():
     # effectively infinite bending radius: hits line up with the particle phi0
-    cfg = GeneratorConfig(n_tracks=5, pt_range=(1e6, 1e6), seed=8, z0_spread=0.0)
+    # (6e4 GeV is the largest pt accepted at 2 T)
+    cfg = GeneratorConfig(n_tracks=5, pt_range=(6e4, 6e4), seed=8, z0_spread=0.0)
     data = gen_event(cfg)
     phi0 = {pid: math.atan2(py, px) for pid, px, py, pz in data.particles}
     truth = dict(data.truth)
@@ -77,8 +85,6 @@ def test_invalid_configs():
     with pytest.raises(ValueError):
         GeneratorConfig(pt_range=(0.0, 1.0))
     with pytest.raises(ValueError):
-        GeneratorConfig(layer_radii=(100.0, 50.0))
-    with pytest.raises(ValueError):
         GeneratorConfig(n_tracks=-1)
 
 
@@ -90,3 +96,20 @@ def test_smearing_moves_hits_off_layers():
         for _, x, y, z, _, _ in data.hits
     ]
     assert max(offsets) > 1e-3
+
+
+def distance_from_layers(data):
+    return max(min(abs(math.hypot(x, y) - lr) for lr in DEFAULT_LAYER_RADII) for _, x, y, *_ in data.hits)
+
+
+@pytest.mark.parametrize("b_field", [0.5, 2.0, 3.8])
+def test_largest_accepted_pt_keeps_hits_on_layers(b_field):
+    pt = max_track_pt(b_field)
+    assert helix_radius_mm(pt, b_field) == pytest.approx(synthgen.MAX_BENDING_RADIUS_MM)
+    for seed in range(3):
+        data = gen_event(GeneratorConfig(n_tracks=100, pt_range=(pt, pt), b_field=b_field, seed=seed))
+        assert len(data.hits) == 100 * len(DEFAULT_LAYER_RADII)
+        assert distance_from_layers(data) < 1e-6
+    with pytest.raises(ValueError, match=f"^pt_range must not exceed {pt!r} GeV at b_field {b_field!r} T"):
+        GeneratorConfig(pt_range=(1.0, float(np.nextafter(pt, math.inf))), b_field=b_field)
+

@@ -13,7 +13,6 @@ from qseed.training import (
     class_weights,
     evaluate_metrics,
     split_dataset,
-    subgraph_loss,
     subgraph_step,
     train,
     weighted_bce,
@@ -26,6 +25,9 @@ from conftest import (
     reference_step,
     reference_train,
 )
+
+# subgraph_step(g, params, scaler, LOSS_ONLY)[1] is the mean loss at params.
+LOSS_ONLY = TrainConfig(learning_rate=0.0)
 
 
 def small_dataset(seed=5, n_subgraphs=12, edges_per=6):
@@ -111,9 +113,10 @@ class TestSubgraphStep:
         g = SubGraph(0, (0, 0), [(1.0, 0, 0), (2.5, 0, 0)], [(0, 1, 1)])
         cfg = TrainConfig(learning_rate=0.1)
         params = ttn.init_params(3)
-        before = ttn.ttn_forward(training.edge_raw_features(g, g.edges[0]), params, scaler)
+        angles = scaler.transform(training.edge_raw_features(g, g.edges[0]))
+        before = ttn.forward_batch(angles, params.thetas)[0, 0]
         new_params, loss = subgraph_step(g, params, scaler, cfg)
-        after = ttn.ttn_forward(training.edge_raw_features(g, g.edges[0]), new_params, scaler)
+        after = ttn.forward_batch(angles, new_params.thetas)[0, 0]
         assert loss >= 0.0
         assert after > before  # moves toward the true label
 
@@ -133,8 +136,8 @@ class TestSubgraphStep:
                 minus = params.copy()
                 minus.thetas[k] -= h
                 fd = (
-                    subgraph_loss(g, plus, scaler)
-                    - subgraph_loss(g, minus, scaler)
+                    subgraph_step(g, plus, scaler, LOSS_ONLY)[1]
+                    - subgraph_step(g, minus, scaler, LOSS_ONLY)[1]
                 ) / (2 * h)
                 assert abs(analytic[k] - fd) < 1e-5
 
@@ -199,7 +202,7 @@ class TestTrain:
         tr, te = split_dataset(subs, 0.9, 0)
         cfg = TrainConfig(epochs=2, learning_rate=0.1, seed=0)
         params = ttn.init_params(0)
-        initial = np.mean([subgraph_loss(g, params, scaler) for g in tr])
+        initial = np.mean([subgraph_step(g, params, scaler, LOSS_ONLY)[1] for g in tr])
         _, history = train(tr, te, cfg, params, scaler)
         assert history.epochs[-1].train_loss < 0.8 * initial
 
@@ -229,9 +232,11 @@ class TestEvaluateMetrics:
         assert m.total == sum(len(g.edges) for g in subs)
 
     def test_zero_edges_rejected(self):
+        # the zero counts; `eval` rejects them (tests/test_cli.py)
         subs, scaler = small_dataset()
-        with pytest.raises(DataError):
-            evaluate_metrics([SubGraph(0, (0, 0), [], [])], ttn.init_params(0), scaler)
+        m = evaluate_metrics([SubGraph(0, (0, 0), [], [])], ttn.init_params(0), scaler)
+        assert m == Metrics(0, 0, 0, 0)
+        assert m.purity is None and m.efficiency is None and m.accuracy is None
 
     def test_shot_mode_reproducible(self):
         from qseed.statevector import ShotConfig
@@ -284,7 +289,7 @@ class TestBatchedScoring:
             want_params, want_loss = reference_step(g, params, scaler, cfg)
             assert got_params.thetas.tolist() == want_params.thetas.tolist()
             assert got_loss == want_loss
-            assert subgraph_loss(g, params, scaler) == want_loss
+            assert subgraph_step(g, params, scaler, LOSS_ONLY)[1] == want_loss
 
     def test_all_predictions_clamped_take_no_gradient_row(self, monkeypatch):
         # zero angles and zero features give P = 0 exactly: every edge sits in
@@ -313,7 +318,7 @@ class TestBatchedScoring:
         assert params.thetas.tolist() == want_params.thetas.tolist()
         assert [(r.update, r.subgraph, r.loss) for r in history.updates] == want_updates
         got_epochs = [
-            (r.epoch, r.train_loss, (r.metrics.tp, r.metrics.fp, r.metrics.tn, r.metrics.fn) if r.metrics else None)
+            (r.epoch, r.train_loss, (r.metrics.tp, r.metrics.fp, r.metrics.tn, r.metrics.fn))
             for r in history.epochs
         ]
         assert got_epochs == want_epochs

@@ -13,6 +13,7 @@ from qseed.statevector import (
     dense_unitary_oracle,
     new_zero_state,
     prob_one,
+    shot_estimate,
 )
 from qseed import ttn
 from qseed.ttn import (
@@ -21,11 +22,11 @@ from qseed.ttn import (
     circuit_gates,
     encoding_gates,
     fit_scaler,
+    forward_batch,
+    gradient_batch,
     init_params,
     load_model,
     save_model,
-    ttn_forward,
-    ttn_gradient,
 )
 
 from conftest import encode_features, reference_forward, reference_gradient, reference_prob
@@ -107,12 +108,12 @@ class TestEncodeFeatures:
 class TestForward:
     def test_all_zero_params_and_features(self):
         params = TTNParams(np.zeros(11))
-        assert ttn_forward(np.zeros(6), params, UNIT_SCALER) == 0.0
+        assert forward_batch(UNIT_SCALER.transform(np.zeros(6)), params.thetas)[0, 0] == 0.0
 
     def test_final_rotation_pi_gives_one(self):
         thetas = np.zeros(11)
         thetas[10] = math.pi
-        assert ttn_forward(np.zeros(6), TTNParams(thetas), UNIT_SCALER) == pytest.approx(1.0, abs=1e-12)
+        assert forward_batch(UNIT_SCALER.transform(np.zeros(6)), thetas)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(4)
@@ -120,7 +121,7 @@ class TestForward:
             scaler = random_scaler(rng)
             raw = rng.uniform(scaler.mins, scaler.maxs)
             params = TTNParams(rng.uniform(0, 2 * math.pi, 11))
-            p = ttn_forward(raw, params, scaler)
+            p = forward_batch(scaler.transform(raw), params.thetas)[0, 0]
             gates = encoding_gates(scaler.transform(raw)) + circuit_gates(params)
             u = dense_unitary_oracle(gates, 6)
             psi = u[:, 0]
@@ -133,7 +134,7 @@ class TestForward:
             scaler = random_scaler(rng)
             raw = rng.uniform(scaler.mins - 50, scaler.maxs + 50)
             params = TTNParams(rng.uniform(-10, 10, 11))
-            p = ttn_forward(raw, params, scaler)
+            p = forward_batch(scaler.transform(raw), params.thetas)[0, 0]
             assert 0.0 <= p <= 1.0
 
     def test_shot_mode_is_rational_and_converges(self):
@@ -141,13 +142,13 @@ class TestForward:
         scaler = random_scaler(rng)
         raw = rng.uniform(scaler.mins, scaler.maxs)
         params = TTNParams(rng.uniform(0, 2 * math.pi, 11))
-        exact = ttn_forward(raw, params, scaler)
+        exact = forward_batch(scaler.transform(raw), params.thetas)[0, 0]
         n_shots = 1000
         bound = 5.0 * math.sqrt(max(exact * (1 - exact), 1e-12) / n_shots)
         n_ok = 0
         trials = 1000
         for seed in range(trials):
-            est = ttn_forward(raw, params, scaler, ShotConfig(n_shots, seed))
+            est = shot_estimate(exact, ShotConfig(n_shots, seed))
             assert est * n_shots == pytest.approx(round(est * n_shots))
             n_ok += abs(est - exact) <= bound
         assert n_ok >= 0.99 * trials
@@ -155,7 +156,7 @@ class TestForward:
 
 class TestGradient:
     def test_zero_point_gradient_is_zero(self):
-        grad = ttn_gradient(np.zeros(6), TTNParams(np.zeros(11)), UNIT_SCALER)
+        grad = gradient_batch(UNIT_SCALER.transform(np.zeros(6)), TTNParams(np.zeros(11)))[0]
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_single_parameter_analytic(self):
@@ -163,7 +164,7 @@ class TestGradient:
         # dp/dtheta = sin(theta)/2 -> 0.5 at theta = pi/2
         thetas = np.zeros(11)
         thetas[10] = math.pi / 2
-        grad = ttn_gradient(np.zeros(6), TTNParams(thetas), UNIT_SCALER)
+        grad = gradient_batch(UNIT_SCALER.transform(np.zeros(6)), TTNParams(thetas))[0]
         assert grad[10] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_finite_differences(self):
@@ -173,14 +174,15 @@ class TestGradient:
             scaler = random_scaler(rng)
             raw = rng.uniform(scaler.mins, scaler.maxs)
             params = TTNParams(rng.uniform(0, 2 * math.pi, 11))
-            grad = ttn_gradient(raw, params, scaler)
+            grad = gradient_batch(scaler.transform(raw), params)[0]
             for k in range(11):
                 plus = params.copy()
                 plus.thetas[k] += h
                 minus = params.copy()
                 minus.thetas[k] -= h
+                angles = scaler.transform(raw)
                 fd = (
-                    ttn_forward(raw, plus, scaler) - ttn_forward(raw, minus, scaler)
+                    forward_batch(angles, plus.thetas)[0, 0] - forward_batch(angles, minus.thetas)[0, 0]
                 ) / (2 * h)
                 assert abs(grad[k] - fd) < 1e-5
 
@@ -349,7 +351,9 @@ class TestBatched:
             scaler = random_scaler(rng)
             raw = rng.uniform(scaler.mins - 20, scaler.maxs + 20)
             params = TTNParams(rng.uniform(0, 2 * math.pi, 11))
-            assert ttn_forward(raw, params, scaler) == reference_forward(raw, params, scaler)
+            p = forward_batch(scaler.transform(raw), params.thetas)[0, 0]
+            assert p == reference_forward(raw, params, scaler)
             shots = ShotConfig(100, int(rng.integers(1000)))
-            assert ttn_forward(raw, params, scaler, shots) == reference_forward(raw, params, scaler, shots)
-            assert ttn_gradient(raw, params, scaler).tolist() == reference_gradient(raw, params, scaler).tolist()
+            assert shot_estimate(p, shots) == reference_forward(raw, params, scaler, shots)
+            grad = gradient_batch(scaler.transform(raw), params)[0]
+            assert grad.tolist() == reference_gradient(raw, params, scaler).tolist()
