@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 import click
 
-from .errors import DataError, QSeedError, UsageError
+from .errors import DataError, QSeedError, UsageError, not_utf8
 from . import hitgraph, synthgen, training, ttn
 from .statevector import ShotConfig
 
@@ -37,15 +37,19 @@ def read_config_file(path: Optional[str]) -> Dict[str, str]:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise UsageError(f"{path}:{lineno}: expected name=value")
-            name, value = text.split("=", 1)
-            values[name.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise not_utf8(path, UsageError) from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise UsageError(f"{path}:{lineno}: expected name=value")
+        name, value = text.split("=", 1)
+        values[name.strip()] = value.strip()
     return values
 
 

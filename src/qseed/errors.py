@@ -39,3 +39,21 @@ class NumericError(QSeedError):
     """Non-finite value encountered during optimization."""
 
     exit_code = 3
+
+
+def not_utf8(path: str, error: type) -> QSeedError:
+    """`error` for a text file that failed to decode as UTF-8, naming the
+    line of its first bad byte (lines end at CR, LF or CRLF).
+
+    Readers call it only after a decode has failed, so a valid file is never
+    read twice.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return error(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    return error(f"{path}: not UTF-8 text")

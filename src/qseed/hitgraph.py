@@ -14,11 +14,11 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError, UsageError
+from .errors import DataError, ParseError, SchemaError, UsageError, not_utf8
 
 BARREL_VOLUMES = (8, 13, 17)
 N_PHI_SECTORS = 8
@@ -33,6 +33,9 @@ _BLOCK_PAIRS = 4096
 _WINDOW_REL = 1e-9
 _WINDOW_ABS = 1e-12
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# Event CSVs are read this many rows at a time, which bounds the memory the
+# rows take as strings whatever the file size.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -109,57 +112,111 @@ class LabelStats:
 # --- CSV loading -------------------------------------------------------------
 
 
-def _read_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[tuple]:
-    """The named columns of a CSV file, one tuple per column.
+def _column_index(path: str, header: List[str], columns: Sequence[Tuple[str, type]]) -> List[int]:
+    """Position of each named column in the header row."""
+    for col, _ in columns:
+        if col not in header:
+            raise SchemaError(f"{path}: missing column '{col}'")
+    # a repeated column name reads its last occurrence
+    return [len(header) - 1 - header[::-1].index(col) for col, _ in columns]
 
-    Each column is parsed with its type: int columns as exact 64-bit
-    integers, float columns as finite floats. The first column is an id and
-    must not repeat. Errors carry the file line.
+
+def _screened_columns(path: str, columns: Sequence[Tuple[str, type]]) -> Optional[List[np.ndarray]]:
+    """The columns of _read_columns, or None when some line is at fault.
+
+    Rows are read _BLOCK_ROWS at a time, and each column of a block is
+    converted with one map of its type. The screen then checks every row at
+    once: floats are finite, ints fit int64 (numpy raises OverflowError),
+    no row is short and the first column has no repeats.
     """
-    if not os.path.exists(path):
-        raise IOError(f"no such file: {path}")
-    rows = []
+    dtypes = [np.int64 if kind is int else np.float64 for _, kind in columns]
+    blocks = [[np.empty(0, dtype)] for dtype in dtypes]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            index = _column_index(path, next(reader, None) or [], columns)
+            width = max(index) + 1
+            while lines := list(itertools.islice(reader, _BLOCK_ROWS)):
+                rows = [row for row in lines if row]  # blank lines are not rows
+                if not rows:
+                    continue
+                if min(map(len, rows)) < width:
+                    return None
+                cells = list(zip(*rows))
+                for block, (_, kind), i, dtype in zip(blocks, columns, index, dtypes):
+                    block.append(np.fromiter(map(kind, cells[i]), dtype, len(rows)))
+    except (ValueError, OverflowError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    arrays = [np.concatenate(block) for block in blocks]
+    # argsort, as _row_of sorts: numpy's int64 sort kernel is separate code,
+    # and paging it in raised a bench child's peak RSS by about 0.7 MB.
+    ids = arrays[0][np.argsort(arrays[0])]
+    if (ids[1:] == ids[:-1]).any():
+        return None
+    if not all(np.isfinite(a).all() for a, (_, kind) in zip(arrays, columns) if kind is float):
+        return None
+    return arrays
+
+
+def _raise_first_fault(path: str, columns: Sequence[Tuple[str, type]]) -> NoReturn:
+    """Read a file that failed the screen row by row, and raise the
+    ParseError of its first faulty line."""
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None) or []
-        for col, _ in columns:
-            if col not in header:
-                raise SchemaError(f"{path}: missing column '{col}'")
-        # a repeated column name reads its last occurrence
-        index = [len(header) - 1 - header[::-1].index(col) for col, _ in columns]
-        for row in reader:
-            if not row:
-                continue  # blank lines are not rows
-            values = []
-            for (col, kind), i in zip(columns, index):
-                cell = row[i] if i < len(row) else None
-                try:
-                    value = kind(cell)
-                except (TypeError, ValueError):
-                    what = "non-integer" if kind is int and cell is not None else "non-numeric"
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: {what} value {cell!r} in column '{col}'"
-                    )
-                if kind is float:
-                    if not math.isfinite(value):
+        try:
+            index = _column_index(path, next(reader, None) or [], columns)
+            for row in reader:
+                if not row:
+                    continue
+                values = []
+                for (col, kind), i in zip(columns, index):
+                    cell = row[i] if i < len(row) else None
+                    try:
+                        value = kind(cell)
+                    except (TypeError, ValueError):
+                        what = "non-integer" if kind is int and cell is not None else "non-numeric"
                         raise ParseError(
-                            f"{path}:{reader.line_num}: non-finite value {cell!r} "
-                            f"in column '{col}'"
+                            f"{path}:{reader.line_num}: {what} value {cell!r} in column '{col}'"
                         )
-                elif not _INT64_MIN <= value <= _INT64_MAX:
+                    if kind is float:
+                        if not math.isfinite(value):
+                            raise ParseError(
+                                f"{path}:{reader.line_num}: non-finite value {cell!r} "
+                                f"in column '{col}'"
+                            )
+                    elif not _INT64_MIN <= value <= _INT64_MAX:
+                        raise ParseError(
+                            f"{path}:{reader.line_num}: value {cell!r} in column '{col}' "
+                            f"is outside the 64-bit range"
+                        )
+                    values.append(value)
+                if values[0] in seen:
                     raise ParseError(
-                        f"{path}:{reader.line_num}: value {cell!r} in column '{col}' "
-                        f"is outside the 64-bit range"
+                        f"{path}:{reader.line_num}: repeated {columns[0][0]} {values[0]}"
                     )
-                values.append(value)
-            if values[0] in seen:
-                raise ParseError(
-                    f"{path}:{reader.line_num}: repeated {columns[0][0]} {values[0]}"
-                )
-            seen.add(values[0])
-            rows.append(values)
-    return list(zip(*rows)) if rows else [()] * len(columns)
+                seen.add(values[0])
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path, ParseError) from None
+    raise AssertionError(f"{path}: failed the screen but has no faulty line")
+
+
+def _read_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[np.ndarray]:
+    """The named columns of a CSV file, one numpy array per column.
+
+    Each column is parsed with its type: int columns as exact int64, float
+    columns as finite float64. The first column is an id and must not
+    repeat. A file that breaks a rule is read again row by row, so that the
+    error carries the file line of the first fault.
+    """
+    if not os.path.exists(path):
+        raise IOError(f"no such file: {path}")
+    arrays = _screened_columns(path, columns)
+    if arrays is None:
+        _raise_first_fault(path, columns)
+    return arrays
 
 
 def _row_of(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -187,26 +244,27 @@ def load_event(hits_path: str, particles_path: str, truth_path: str) -> Hits:
         truth_path, [("hit_id", int), ("particle_id", int)]
     )
 
-    ids = np.array(hit_id, dtype=np.int64)
-    truth_row = _row_of(ids, np.array(truth_hit, dtype=np.int64))
+    truth_row = _row_of(hit_id, truth_hit)
     has_truth = truth_row >= 0
-    pid = np.zeros(len(ids), dtype=np.int64)
-    pid[has_truth] = np.array(truth_particle, dtype=np.int64)[truth_row[has_truth]]
-    particle_row = _row_of(pid, np.array(particle_id, dtype=np.int64))
+    pid = np.zeros(len(hit_id), dtype=np.int64)
+    pid[has_truth] = truth_particle[truth_row[has_truth]]
+    particle_row = _row_of(pid, particle_id)
     known = particle_row >= 0
-    pt = np.full(len(ids), np.nan)
-    pt[known] = np.array([math.hypot(a, b) for a, b in zip(px, py)])[particle_row[known]]
+    # math, not numpy: np.hypot and np.arctan2 need not give the same bits.
+    x, y, px, py = x.tolist(), y.tolist(), px.tolist(), py.tolist()
+    pt = np.full(len(hit_id), np.nan)
+    pt[known] = np.fromiter(map(math.hypot, px, py), float, len(px))[particle_row[known]]
     return Hits(
-        hit_id=ids,
-        volume_id=np.array(volume_id, dtype=np.int64),
-        layer_id=np.array(layer_id, dtype=np.int64),
-        r=np.array([math.hypot(a, b) for a, b in zip(x, y)], dtype=float),
-        phi=np.array([math.atan2(b, a) for a, b in zip(x, y)], dtype=float),
-        z=np.array(z, dtype=float),
+        hit_id=hit_id,
+        volume_id=volume_id,
+        layer_id=layer_id,
+        r=np.fromiter(map(math.hypot, x, y), float, len(x)),
+        phi=np.fromiter(map(math.atan2, y, x), float, len(x)),
+        z=z,
         has_truth=has_truth,
         particle_id=pid,
         pt=pt,
-        layer_index=np.full(len(ids), -1, dtype=np.int64),
+        layer_index=np.full(len(hit_id), -1, dtype=np.int64),
     )
 
 
@@ -379,25 +437,19 @@ def filter_low_pt_hits(hits: Hits, pt_min: float) -> Hits:
 # --- sectioning --------------------------------------------------------------
 
 
-def sector_of(phi: float, z: float) -> Tuple[int, int]:
-    """Sector of a hit: phi wedge [-pi + k*pi/4, -pi + (k+1)*pi/4), z half
-    z < 0 / z >= 0. phi == pi wraps to the -pi boundary (sector 0)."""
-    k = int((phi + math.pi) // _WEDGE)
-    if k >= N_PHI_SECTORS:
-        k = 0
-    return k, 0 if z < 0 else 1
-
-
 def section_graph(
     hits: Hits, pairs: np.ndarray, labels: np.ndarray, event_id: int = 0
 ) -> Tuple[List[SubGraph], int]:
     """Split one event into exactly 16 SubGraphs.
 
-    Nodes keep row order within each sector, edges keep pair order. Returns
-    the subgraphs and the number of cross-sector edges dropped.
+    A hit's sector is phi wedge k, [-pi + k*pi/4, -pi + (k+1)*pi/4), and z
+    half 0 for z < 0, 1 for z >= 0; phi == pi wraps to the -pi boundary
+    (wedge 0). Nodes keep row order within each sector, edges keep pair
+    order. Returns the subgraphs and the number of cross-sector edges dropped.
     """
-    sectors = map(sector_of, hits.phi.tolist(), hits.z.tolist())
-    sector = np.array([N_Z_HALVES * k + half for k, half in sectors], dtype=np.int64)
+    wedge = ((hits.phi + math.pi) // _WEDGE).astype(np.int64)
+    wedge[wedge >= N_PHI_SECTORS] = 0
+    sector = N_Z_HALVES * wedge + (hits.z >= 0)
     src, dst = pairs[:, 0], pairs[:, 1]
     kept = sector[src] == sector[dst]
     local = np.empty(len(hits), dtype=np.int64)
@@ -441,8 +493,11 @@ def _subgraph_rows(path: str, header: str) -> List[str]:
     """The lines of a subgraph CSV after its checked header line. One final
     empty string is dropped, so the lines are those that iterating the text
     file gives (universal newlines, so CRLF too)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise not_utf8(path, ParseError) from None
     if lines[-1] == "":
         lines.pop()
     if not lines:

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, not_utf8
 from .statevector import GateOp
 
 N_FEATURES = 6
@@ -268,28 +268,32 @@ def load_model(path: str) -> Tuple[TTNParams, FeatureScaler, dict]:
     thetas: List[float] = []
     meta: dict = {}
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("["):
-                section = text
-                continue
-            try:
-                if section == "[scaler]":
-                    lo, hi = text.split()
-                    mins.append(float(lo))
-                    maxs.append(float(hi))
-                elif section == "[params]":
-                    thetas.append(float(text))
-                elif section == "[meta]":
-                    key, value = text.split("=", 1)
-                    meta[key] = value
-                else:
-                    raise ValueError("content before any section header")
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise not_utf8(path, ParseError) from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("["):
+            section = text
+            continue
+        try:
+            if section == "[scaler]":
+                lo, hi = text.split()
+                mins.append(float(lo))
+                maxs.append(float(hi))
+            elif section == "[params]":
+                thetas.append(float(text))
+            elif section == "[meta]":
+                key, value = text.split("=", 1)
+                meta[key] = value
+            else:
+                raise ValueError("content before any section header")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if len(mins) != N_FEATURES:
         raise ParseError(f"{path}: expected {N_FEATURES} scaler lines, got {len(mins)}")
     if len(thetas) != N_PARAMS:

@@ -216,6 +216,27 @@ class TestPreprocess:
         assert ("repeated hit_id 1" if hit_id == "1" else f"value '{hit_id}' in column 'hit_id'") in err
         assert "Traceback" not in err
 
+    def test_non_utf8_event_file_is_data_error(self, tmp_path, events_dir, capsys):
+        hits = events_dir / "event000000001-hits.csv"
+        lines = hits.read_bytes().split(b"\n")
+        lines[3] = b"\xff" + lines[3]
+        data = b"\n".join(lines)
+        hits.write_bytes(data)
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {hits}:4: not UTF-8 text (invalid start byte at byte {data.index(0xFF)})\n"
+        )
+
+    def test_over_long_field_is_data_error(self, tmp_path, events_dir, capsys):
+        hits = events_dir / "event000000001-hits.csv"
+        lines = hits.read_text().splitlines()
+        lines[2] += "," + "x" * 131073  # an extra, unread field on line 3
+        hits.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == f"error: {hits}:3: field larger than field limit (131072)\n"
+
     def test_ids_beyond_2_53_stay_distinct(self, tmp_path, capsys):
         # As floats both ids read 22525763437723648: one particle, a true edge.
         a, b = 22525763437723648, 22525763437723649
@@ -423,6 +444,29 @@ class TestEvalPredict:
             assert capsys.readouterr().err == f"error: {path}:3: {message}\n"
             assert not (tmp_path / command).exists()
 
+    def test_non_utf8_subgraph_is_data_error(self, tmp_path, subgraphs_dir, capsys):
+        model = _model_file(tmp_path, subgraphs_dir)
+        nodes = sorted(subgraphs_dir.glob("evt*_s*"))[-1] / "nodes.csv"
+        data = b"local_id,r,phi,z\n0,1.0,0.5,-2.0\n1,2.0,\xe9,3.0\n"
+        nodes.write_bytes(data)
+        capsys.readouterr()
+        assert run(["predict", "--data", subgraphs_dir, "--model", model, "--out", tmp_path / "p"]) == 2
+        offset = data.index(0xE9)
+        assert capsys.readouterr().err == (
+            f"error: {nodes}:3: not UTF-8 text (invalid continuation byte at byte {offset})\n"
+        )
+        assert not (tmp_path / "p").exists()
+
+    def test_non_utf8_model_file_is_data_error(self, tmp_path, subgraphs_dir, capsys):
+        model = _model_file(tmp_path, subgraphs_dir)
+        data = model.read_bytes() + b"note=\xff\n"
+        model.write_bytes(data)
+        capsys.readouterr()
+        assert run(["predict", "--data", subgraphs_dir, "--model", model, "--out", tmp_path / "p"]) == 2
+        line, offset = data.count(b"\n"), data.index(0xFF)
+        assert capsys.readouterr().err == f"error: {model}:{line}: not UTF-8 text (invalid start byte at byte {offset})\n"
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -481,6 +525,15 @@ class TestConfigFile:
         cfg = tmp_path / "c.txt"
         cfg.write_text("tracks 5\n")
         assert run(["gen", "--out", tmp_path / "o", "--config", cfg]) == 1
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        data = b"# comment\ntracks=5\nseed=\xff\n"
+        cfg.write_bytes(data)
+        assert run(["gen", "--out", tmp_path / "o", "--config", cfg]) == 1
+        offset = data.index(0xFF)
+        assert capsys.readouterr().err == f"error: {cfg}:3: not UTF-8 text (invalid start byte at byte {offset})\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config(self, tmp_path):
         assert run(["gen", "--out", tmp_path / "o", "--config", tmp_path / "none.txt"]) == 1

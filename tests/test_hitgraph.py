@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qseed.cli import main
 from qseed.errors import DataError, ParseError, SchemaError, UsageError
@@ -18,6 +19,8 @@ from conftest import (
     make_hits,
     passes_cuts,
     random_subgraph,
+    read_columns_reference,
+    sector_of,
 )
 
 
@@ -207,6 +210,141 @@ class TestLoadEvent:
         other = tmp_path / "o.csv"
         with pytest.raises(ParseError, match=r"hits\.csv:5: non-numeric value 'oops' in column 'x'"):
             hg.load_event(str(bad), str(other), str(other))
+
+
+HITS_HEADER = "hit_id,x,y,z,volume_id,layer_id"
+# Unread columns (y, volume_id) between read ones.
+HITS_READ = [("hit_id", int), ("x", float), ("z", float), ("layer_id", int)]
+BLOCK = hg._BLOCK_ROWS
+
+
+def hits_lines(n, seed=0):
+    """n valid data lines of a hits file, ids distinct and unordered."""
+    rng = np.random.default_rng(seed)
+    ids = (1000 + 3 * rng.permutation(n)).tolist()
+    xyz = (rng.normal(size=(n, 3)) * 500.0).tolist()
+    return [f"{i},{x!r},{y!r},{z!r},8,{2 * (i % 5)}" for i, (x, y, z) in zip(ids, xyz)]
+
+
+def write_lines(path, lines, header=HITS_HEADER):
+    path.write_text("\n".join([header, *lines]) + "\n")
+    return str(path)
+
+
+def assert_reads_as_reference(path, columns=HITS_READ):
+    """_read_columns returns the reference's arrays, dtype and bytes, or
+    raises the reference's ParseError message."""
+    try:
+        want = read_columns_reference(path, columns)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            hg._read_columns(path, columns)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = hg._read_columns(path, columns)
+    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+    return None
+
+
+# (column, text) of one changed cell: bad, non-finite, out-of-range and
+# edge-of-range cells in read columns, and junk in unread ones (y, volume_id).
+CELLS = [
+    (0, ""), (0, "1e3"), (0, "9223372036854775807"), (0, "9223372036854775808"), (0, " 7"),
+    (1, "oops"), (1, "nan"), (1, "-inf"), (1, "-0.0"), (2, "oops"), (3, "inf"), (3, "NaN"),
+    (3, "1_0"), (4, "nan"), (5, "1.5"), (5, "-9223372036854775808"), (5, "-9223372036854775809"),
+]
+FRACTION = st.floats(0.0, 1.0, exclude_max=True)
+MUTATIONS = st.tuples(
+    st.sampled_from(["short", "repeat", "blank", "multiline"]),
+    FRACTION,  # the line, as a fraction of the lines
+    FRACTION,  # the line a repeat copies its id from
+    st.integers(0, 5),  # the column
+)
+
+
+def mutate(lines, mutation):
+    kind, at, source, col = mutation
+    if not lines:
+        return [""] if kind == "blank" else lines
+    i = int(at * len(lines))
+    fields = lines[i].split(",")
+    if kind == "blank":
+        return lines[:i] + [""] + lines[i:]
+    if kind == "short":
+        fields = fields[:col]
+    elif kind == "repeat":
+        fields[0] = lines[int(source * len(lines))].split(",")[0]
+    elif col < len(fields):
+        fields[col] = '"1\n2"'  # a quoted field over two file lines
+    return lines[:i] + [",".join(fields)] + lines[i + 1:]
+
+
+class TestReadColumns:
+    @pytest.mark.parametrize("col, cell", CELLS)
+    @settings(max_examples=15)
+    @given(
+        n=st.integers(1, 2 * BLOCK + 20) | st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+        seed=st.integers(0, 3),
+        at=FRACTION,
+        mutations=st.lists(MUTATIONS, max_size=2),
+    )
+    def test_equals_row_by_row_reference(self, tmp_path_factory, col, cell, n, seed, at, mutations):
+        lines = hits_lines(n, seed)
+        fields = lines[int(at * n)].split(",")
+        fields[col] = cell
+        lines[int(at * n)] = ",".join(fields)
+        for mutation in mutations:
+            lines = mutate(lines, mutation)
+        assert_reads_as_reference(write_lines(tmp_path_factory.mktemp("fuzz") / "hits.csv", lines))
+
+    def test_bad_cell_in_second_block(self, tmp_path):
+        lines = hits_lines(BLOCK + 200)
+        fields = lines[BLOCK + 100].split(",")
+        fields[3] = "oops"
+        lines[BLOCK + 100] = ",".join(fields)
+        message = assert_reads_as_reference(write_lines(tmp_path / "hits.csv", lines))
+        assert message.endswith(f"hits.csv:{BLOCK + 102}: non-numeric value 'oops' in column 'z'")
+
+    def test_id_repeated_across_blocks(self, tmp_path):
+        lines = hits_lines(2 * BLOCK)
+        first = lines[3].split(",")[0]
+        lines[BLOCK + 5] = ",".join([first] + lines[BLOCK + 5].split(",")[1:])
+        message = assert_reads_as_reference(write_lines(tmp_path / "hits.csv", lines))
+        assert message.endswith(f"hits.csv:{BLOCK + 7}: repeated hit_id {first}")
+
+    def test_header_only_file(self, tmp_path):
+        path = write_lines(tmp_path / "hits.csv", [])
+        assert assert_reads_as_reference(path) is None
+        got = hg._read_columns(path, HITS_READ)
+        assert [(a.dtype, a.shape) for a in got] == [(np.int64, (0,)), (float, (0,)), (float, (0,)), (np.int64, (0,))]
+
+    def test_blank_block_then_rows(self, tmp_path):
+        lines = [""] * (BLOCK + 3) + hits_lines(5)
+        assert assert_reads_as_reference(write_lines(tmp_path / "hits.csv", lines)) is None
+        assert len(hg._read_columns(str(tmp_path / "hits.csv"), HITS_READ)[0]) == 5
+
+    def test_over_long_field_has_row_number(self, tmp_path):
+        lines = hits_lines(3)
+        lines[1] = lines[1].replace(",8,", "," + "7" * 131073 + ",", 1)
+        with pytest.raises(ParseError, match=r"hits\.csv:3: field larger than field limit \(131072\)$"):
+            hg._read_columns(write_lines(tmp_path / "hits.csv", lines), HITS_READ)
+
+    @pytest.mark.parametrize(
+        "head, line",
+        [
+            (b"1,0,0,0,8,2\n", 3),
+            (b"1,0,0,0,8,2\r\n", 3),
+            (b"1,0,0,0,8,2\r", 3),
+            (b'1,0,"0\n0",0,8,2\n', 4),  # a quoted field over two lines
+        ],
+    )
+    def test_non_utf8_byte_has_row_number(self, tmp_path, head, line):
+        data = HITS_HEADER.encode() + b"\n" + head + b"2,\xff,0,0,8,2\n"
+        path = tmp_path / "hits.csv"
+        path.write_bytes(data)
+        message = rf"hits\.csv:{line}: not UTF-8 text \(invalid start byte at byte {data.index(0xFF)}\)$"
+        with pytest.raises(ParseError, match=message):
+            hg._read_columns(str(path), HITS_READ)
 
 
 class TestSelectBarrelHits:
@@ -539,9 +677,38 @@ class TestSectioning:
         ]
 
     def test_boundary_node(self):
-        assert hg.sector_of(-math.pi, -10.0) == (0, 0)
-        assert hg.sector_of(math.pi, 5.0) == (0, 1)  # pi wraps to -pi
-        assert hg.sector_of(0.0, 0.0) == (4, 1)  # z >= 0 upper half
+        assert sector_of(-math.pi, -10.0) == (0, 0)
+        assert sector_of(math.pi, 5.0) == (0, 1)  # pi wraps to -pi
+        assert sector_of(0.0, 0.0) == (4, 1)  # z >= 0 upper half
+
+    def test_sectors_match_scalar_rule_at_boundaries(self):
+        # phi = +-pi, each wedge boundary and its three floats either side,
+        # each with z of both signs of zero, the smallest subnormals and +-1.
+        phis = []
+        for k in range(hg.N_PHI_SECTORS + 1):
+            lo = hi = -math.pi + k * math.pi / 4.0
+            phis.append(lo)
+            for _ in range(3):
+                lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+                phis += [lo, hi]
+        phis = [p for p in phis + [math.pi] if -math.pi <= p <= math.pi]
+        rows = [(phi, z) for phi in phis for z in (-0.0, 0.0, -5e-324, 5e-324, -1.0, 1.0)]
+        n = len(rows)
+        hits = hg.Hits(
+            hit_id=np.arange(n),
+            volume_id=np.full(n, 8),
+            layer_id=np.full(n, 2),
+            r=np.arange(n, dtype=float),  # names the row
+            phi=np.array([phi for phi, _ in rows]),
+            z=np.array([z for _, z in rows]),
+            has_truth=np.zeros(n, dtype=bool),
+            particle_id=np.zeros(n, dtype=np.int64),
+            pt=np.full(n, np.nan),
+            layer_index=np.zeros(n, dtype=np.int64),
+        )
+        subgraphs, _ = hg.section_graph(hits, NO_PAIRS, np.empty(0, dtype=bool))
+        got = {int(r): g.sector for g in subgraphs for r, _, _ in g.nodes}
+        assert [got[i] for i in range(n)] == [sector_of(phi, z) for phi, z in rows]
 
     def test_nodes_partitioned(self, tmp_path):
         hits = hg.select_barrel_hits(synthetic_event(tmp_path, seed=13, n_tracks=30, noise=40))
