@@ -14,7 +14,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,7 +122,7 @@ def _column_index(path: str, header: List[str], columns: Sequence[Tuple[str, typ
 
 
 def _screened_columns(path: str, columns: Sequence[Tuple[str, type]]) -> Optional[List[np.ndarray]]:
-    """The columns of _read_columns, or None when some line is at fault.
+    """The columns of _read_columns, or None when the file fails the screen.
 
     Rows are read _BLOCK_ROWS at a time, and each column of a block is
     converted with one map of its type. The screen then checks every row at
@@ -158,18 +158,40 @@ def _screened_columns(path: str, columns: Sequence[Tuple[str, type]]) -> Optiona
     return arrays
 
 
-def _raise_first_fault(path: str, columns: Sequence[Tuple[str, type]]) -> NoReturn:
-    """Read a file that failed the screen row by row, and raise the
-    ParseError of its first faulty line."""
+# A byte that is not UTF-8, as the surrogateescape error handler decodes it.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _utf8_rows(path: str, reader) -> Iterator[List[str]]:
+    """The rows of a csv reader over a file decoded with surrogateescape;
+    a row that holds a byte that is not UTF-8 raises its error instead."""
+    for row in reader:
+        if _UNDECODABLE.search(",".join(row)):
+            raise not_utf8(path, ParseError)
+        yield row
+
+
+def _read_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[np.ndarray]:
+    """The named columns of a CSV file read row by row, one numpy array per
+    column (int64 for int columns, float64 for float columns).
+
+    Each cell is checked as it is read: ints are exact and fit int64, floats
+    are finite, and the first column is an id that must not repeat. The
+    error names the file line of the first faulty line. A byte that is not
+    UTF-8 counts as a fault of its row, so a bad byte after a bad cell does
+    not hide the cell.
+    """
+    values = []
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
+        rows = _utf8_rows(path, reader)
         try:
-            index = _column_index(path, next(reader, None) or [], columns)
-            for row in reader:
+            index = _column_index(path, next(rows, None) or [], columns)
+            for row in rows:
                 if not row:
-                    continue
-                values = []
+                    continue  # blank lines are not rows
+                parsed = []
                 for (col, kind), i in zip(columns, index):
                     cell = row[i] if i < len(row) else None
                     try:
@@ -190,33 +212,30 @@ def _raise_first_fault(path: str, columns: Sequence[Tuple[str, type]]) -> NoRetu
                             f"{path}:{reader.line_num}: value {cell!r} in column '{col}' "
                             f"is outside the 64-bit range"
                         )
-                    values.append(value)
-                if values[0] in seen:
+                    parsed.append(value)
+                if parsed[0] in seen:
                     raise ParseError(
-                        f"{path}:{reader.line_num}: repeated {columns[0][0]} {values[0]}"
+                        f"{path}:{reader.line_num}: repeated {columns[0][0]} {parsed[0]}"
                     )
-                seen.add(values[0])
+                seen.add(parsed[0])
+                values.append(parsed)
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise not_utf8(path, ParseError) from None
-    raise AssertionError(f"{path}: failed the screen but has no faulty line")
+    cols = list(zip(*values)) if values else [()] * len(columns)
+    return [
+        np.array(col, dtype=np.int64 if kind is int else np.float64)
+        for col, (_, kind) in zip(cols, columns)
+    ]
 
 
-def _read_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[np.ndarray]:
-    """The named columns of a CSV file, one numpy array per column.
-
-    Each column is parsed with its type: int columns as exact int64, float
-    columns as finite float64. The first column is an id and must not
-    repeat. A file that breaks a rule is read again row by row, so that the
-    error carries the file line of the first fault.
-    """
+def _load_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[np.ndarray]:
+    """The arrays of _read_columns, read a block at a time by
+    _screened_columns. Only a file that fails the screen is read again, row
+    by row, so a valid file pays nothing for locating errors."""
     if not os.path.exists(path):
         raise IOError(f"no such file: {path}")
     arrays = _screened_columns(path, columns)
-    if arrays is None:
-        _raise_first_fault(path, columns)
-    return arrays
+    return _read_columns(path, columns) if arrays is None else arrays
 
 
 def _row_of(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -232,15 +251,15 @@ def _row_of(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def load_event(hits_path: str, particles_path: str, truth_path: str) -> Hits:
     """Load a TrackML-convention CSV triplet into one Hits table."""
-    hit_id, x, y, z, volume_id, layer_id = _read_columns(
+    hit_id, x, y, z, volume_id, layer_id = _load_columns(
         hits_path,
         [("hit_id", int), ("x", float), ("y", float), ("z", float),
          ("volume_id", int), ("layer_id", int)],
     )
-    particle_id, px, py, _ = _read_columns(
+    particle_id, px, py, _ = _load_columns(
         particles_path, [("particle_id", int), ("px", float), ("py", float), ("pz", float)]
     )
-    truth_hit, truth_particle = _read_columns(
+    truth_hit, truth_particle = _load_columns(
         truth_path, [("hit_id", int), ("particle_id", int)]
     )
 

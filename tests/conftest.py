@@ -1,13 +1,10 @@
-import csv
 import math
-import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from qseed import training, ttn
-from qseed.errors import ParseError, SchemaError
 from qseed.hitgraph import N_PHI_SECTORS, Hits, SubGraph, subgraph_dirname
 from qseed.statevector import GateOp, ShotConfig, apply_circuit, new_zero_state, prob_one, sample_shots
 
@@ -79,58 +76,7 @@ def random_subgraph(rng):
     )
 
 
-# --- the row-by-row CSV reader and the scalar sector rule -----------------------
-
-
-def read_columns_reference(path, columns):
-    """Reference for hitgraph._read_columns: the row-by-row reader it
-    replaced, which checks each cell as it reads it. Returns one array per
-    column (int64 for int, float64 for float columns)."""
-    if not os.path.exists(path):
-        raise IOError(f"no such file: {path}")
-    rows = []
-    seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or []
-        for col, _ in columns:
-            if col not in header:
-                raise SchemaError(f"{path}: missing column '{col}'")
-        # a repeated column name reads its last occurrence
-        index = [len(header) - 1 - header[::-1].index(col) for col, _ in columns]
-        for row in reader:
-            if not row:
-                continue  # blank lines are not rows
-            values = []
-            for (col, kind), i in zip(columns, index):
-                cell = row[i] if i < len(row) else None
-                try:
-                    value = kind(cell)
-                except (TypeError, ValueError):
-                    what = "non-integer" if kind is int and cell is not None else "non-numeric"
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: {what} value {cell!r} in column '{col}'"
-                    )
-                if kind is float:
-                    if not math.isfinite(value):
-                        raise ParseError(
-                            f"{path}:{reader.line_num}: non-finite value {cell!r} "
-                            f"in column '{col}'"
-                        )
-                elif not -(2**63) <= value <= 2**63 - 1:
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: value {cell!r} in column '{col}' "
-                        f"is outside the 64-bit range"
-                    )
-                values.append(value)
-            if values[0] in seen:
-                raise ParseError(
-                    f"{path}:{reader.line_num}: repeated {columns[0][0]} {values[0]}"
-                )
-            seen.add(values[0])
-            rows.append(values)
-    cols = list(zip(*rows)) if rows else [()] * len(columns)
-    return [np.array(col, dtype=np.int64 if kind is int else float) for col, (_, kind) in zip(cols, columns)]
+# --- the scalar sector rule ---------------------------------------------------
 
 
 def sector_of(phi, z):

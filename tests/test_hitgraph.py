@@ -19,7 +19,6 @@ from conftest import (
     make_hits,
     passes_cuts,
     random_subgraph,
-    read_columns_reference,
     sector_of,
 )
 
@@ -227,22 +226,28 @@ def hits_lines(n, seed=0):
 
 
 def write_lines(path, lines, header=HITS_HEADER):
-    path.write_text("\n".join([header, *lines]) + "\n")
+    """Write a hits file; a surrogate-escaped character ("\udcff") is
+    written as the byte it stands for, which is not UTF-8."""
+    path.write_text("\n".join([header, *lines]) + "\n", errors="surrogateescape")
     return str(path)
 
 
-def assert_reads_as_reference(path, columns=HITS_READ):
-    """_read_columns returns the reference's arrays, dtype and bytes, or
-    raises the reference's ParseError message."""
+def assert_screen_agrees(path, columns=HITS_READ):
+    """The block screen returns the row-by-row reader's arrays, dtype and
+    bytes, for a file that reader accepts and None for one it rejects, and
+    _load_columns raises the row-by-row reader's message. Returns that
+    message, or None for a valid file."""
+    screened = hg._screened_columns(path, columns)
     try:
-        want = read_columns_reference(path, columns)
+        want = hg._read_columns(path, columns)
     except ParseError as exc:
+        assert screened is None
         with pytest.raises(ParseError) as got:
-            hg._read_columns(path, columns)
+            hg._load_columns(path, columns)
         assert str(got.value) == str(exc)
         return str(exc)
-    got = hg._read_columns(path, columns)
-    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+    assert screened is not None
+    assert [(a.dtype, a.tobytes()) for a in screened] == [(a.dtype, a.tobytes()) for a in want]
     return None
 
 
@@ -255,7 +260,7 @@ CELLS = [
 ]
 FRACTION = st.floats(0.0, 1.0, exclude_max=True)
 MUTATIONS = st.tuples(
-    st.sampled_from(["short", "repeat", "blank", "multiline"]),
+    st.sampled_from(["short", "repeat", "blank", "multiline", "byte"]),
     FRACTION,  # the line, as a fraction of the lines
     FRACTION,  # the line a repeat copies its id from
     st.integers(0, 5),  # the column
@@ -274,6 +279,8 @@ def mutate(lines, mutation):
         fields = fields[:col]
     elif kind == "repeat":
         fields[0] = lines[int(source * len(lines))].split(",")[0]
+    elif kind == "byte":
+        fields[col] += "\udcff"  # written as the byte 0xff
     elif col < len(fields):
         fields[col] = '"1\n2"'  # a quoted field over two file lines
     return lines[:i] + [",".join(fields)] + lines[i + 1:]
@@ -288,46 +295,46 @@ class TestReadColumns:
         at=FRACTION,
         mutations=st.lists(MUTATIONS, max_size=2),
     )
-    def test_equals_row_by_row_reference(self, tmp_path_factory, col, cell, n, seed, at, mutations):
+    def test_screen_agrees_with_row_by_row_reader(self, tmp_path_factory, col, cell, n, seed, at, mutations):
         lines = hits_lines(n, seed)
         fields = lines[int(at * n)].split(",")
         fields[col] = cell
         lines[int(at * n)] = ",".join(fields)
         for mutation in mutations:
             lines = mutate(lines, mutation)
-        assert_reads_as_reference(write_lines(tmp_path_factory.mktemp("fuzz") / "hits.csv", lines))
+        assert_screen_agrees(write_lines(tmp_path_factory.mktemp("fuzz") / "hits.csv", lines))
 
     def test_bad_cell_in_second_block(self, tmp_path):
         lines = hits_lines(BLOCK + 200)
         fields = lines[BLOCK + 100].split(",")
         fields[3] = "oops"
         lines[BLOCK + 100] = ",".join(fields)
-        message = assert_reads_as_reference(write_lines(tmp_path / "hits.csv", lines))
+        message = assert_screen_agrees(write_lines(tmp_path / "hits.csv", lines))
         assert message.endswith(f"hits.csv:{BLOCK + 102}: non-numeric value 'oops' in column 'z'")
 
     def test_id_repeated_across_blocks(self, tmp_path):
         lines = hits_lines(2 * BLOCK)
         first = lines[3].split(",")[0]
         lines[BLOCK + 5] = ",".join([first] + lines[BLOCK + 5].split(",")[1:])
-        message = assert_reads_as_reference(write_lines(tmp_path / "hits.csv", lines))
+        message = assert_screen_agrees(write_lines(tmp_path / "hits.csv", lines))
         assert message.endswith(f"hits.csv:{BLOCK + 7}: repeated hit_id {first}")
 
     def test_header_only_file(self, tmp_path):
         path = write_lines(tmp_path / "hits.csv", [])
-        assert assert_reads_as_reference(path) is None
-        got = hg._read_columns(path, HITS_READ)
+        assert assert_screen_agrees(path) is None
+        got = hg._load_columns(path, HITS_READ)
         assert [(a.dtype, a.shape) for a in got] == [(np.int64, (0,)), (float, (0,)), (float, (0,)), (np.int64, (0,))]
 
     def test_blank_block_then_rows(self, tmp_path):
         lines = [""] * (BLOCK + 3) + hits_lines(5)
-        assert assert_reads_as_reference(write_lines(tmp_path / "hits.csv", lines)) is None
-        assert len(hg._read_columns(str(tmp_path / "hits.csv"), HITS_READ)[0]) == 5
+        assert assert_screen_agrees(write_lines(tmp_path / "hits.csv", lines)) is None
+        assert len(hg._load_columns(str(tmp_path / "hits.csv"), HITS_READ)[0]) == 5
 
     def test_over_long_field_has_row_number(self, tmp_path):
         lines = hits_lines(3)
         lines[1] = lines[1].replace(",8,", "," + "7" * 131073 + ",", 1)
         with pytest.raises(ParseError, match=r"hits\.csv:3: field larger than field limit \(131072\)$"):
-            hg._read_columns(write_lines(tmp_path / "hits.csv", lines), HITS_READ)
+            hg._load_columns(write_lines(tmp_path / "hits.csv", lines), HITS_READ)
 
     @pytest.mark.parametrize(
         "head, line",
@@ -344,7 +351,20 @@ class TestReadColumns:
         path.write_bytes(data)
         message = rf"hits\.csv:{line}: not UTF-8 text \(invalid start byte at byte {data.index(0xFF)}\)$"
         with pytest.raises(ParseError, match=message):
-            hg._read_columns(str(path), HITS_READ)
+            hg._load_columns(str(path), HITS_READ)
+
+    @pytest.mark.parametrize("cell, byte", [(1, 3), (3, 1)])
+    def test_first_faulty_line_wins_over_a_bad_byte(self, tmp_path, cell, byte):
+        # Both lines lie in one decode buffer, so decoding fails before the
+        # csv reader reaches the later line.
+        lines = [f"{i},{i}.5,0,0,8,2" for i in range(1, 7)]
+        lines[cell] = lines[cell].replace(".5,", "oops,", 1)
+        lines[byte] = lines[byte].replace(",8,", ",8\udcff,", 1)  # unread column
+        message = assert_screen_agrees(write_lines(tmp_path / "hits.csv", lines))
+        if cell < byte:
+            assert message.endswith(f"hits.csv:{cell + 2}: non-numeric value '{cell + 1}oops' in column 'x'")
+        else:
+            assert re.search(rf"hits\.csv:{byte + 2}: not UTF-8 text \(invalid start byte at byte \d+\)$", message)
 
 
 class TestSelectBarrelHits:
