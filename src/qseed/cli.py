@@ -17,13 +17,14 @@ import functools
 import glob
 import os
 import re
+import shutil
 import sys
 import time
 from typing import Dict, Optional
 
 import click
 
-from .errors import DataError, QSeedError, UsageError, not_utf8
+from .errors import DataError, QSeedError, UsageError, read_lines
 from . import hitgraph, synthgen, training, ttn
 from .statevector import ShotConfig
 
@@ -31,21 +32,18 @@ MANIFEST_VERSION = "qseed-1"
 
 
 def read_config_file(path: Optional[str]) -> Dict[str, str]:
-    """Parse a name=value config file; '#' starts a comment."""
+    """Parse a name=value config file. A line whose first non-blank
+    character is '#' is a comment; elsewhere '#' is part of the value, so a
+    path that holds one survives a manifest rerun."""
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
     values: Dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise not_utf8(path, UsageError) from None
-    for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
+    for lineno, line in enumerate(read_lines(path, UsageError), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
             continue
+        if "\0" in text:
+            raise UsageError(f"{path}:{lineno}: line holds a NUL byte")
         if "=" not in text:
             raise UsageError(f"{path}:{lineno}: expected name=value")
         name, value = text.split("=", 1)
@@ -118,8 +116,6 @@ def _load_subgraphs(data_dir: str):
 
 def _model_and_data(model: str, data: str):
     """The model's parameters and scaler, and every subgraph under `data`."""
-    if not os.path.exists(model):
-        raise DataError(f"model file not found: {model}")
     params, scaler, _ = ttn.load_model(model)
     return params, scaler, _load_subgraphs(data)
 
@@ -193,30 +189,38 @@ def cmd_preprocess(out, pt_min, dphi_max, z0_max, eta_min, eta_max, cut_mode, pt
             raise DataError(f"{paths_by_id[event_id]} and {hits_path} are both event {event_id}")
         paths_by_id[event_id] = hits_path
     os.makedirs(out, exist_ok=True)
-    total = 0
-    for event_id, hits_path in paths_by_id.items():
-        stem = hits_path[: -len("-hits.csv")]
-        hits = hitgraph.select_barrel_hits(
-            hitgraph.load_event(hits_path, f"{stem}-particles.csv", f"{stem}-truth.csv")
-        )
-        if cuts.pt_mode == "filter":
-            hits = hitgraph.filter_low_pt_hits(hits, cuts.pt_min)
-        if not hits:
-            click.echo(f"warning: event {event_id} has no barrel hits")
-        pairs, dstats = hitgraph.build_doublets(hits, cuts)
-        labels, lstats = hitgraph.label_edges(pairs, hits, cuts)
-        subgraphs, dropped = hitgraph.section_graph(hits, pairs, labels, event_id)
-        for g in subgraphs:
-            hitgraph.write_subgraph(g, out)
-        total += len(subgraphs)
-        n_true = int(labels.sum())
-        click.echo(
-            f"event {event_id}: {len(hits)} hits kept, {len(pairs)} doublets "
-            f"({n_true} true / {len(pairs) - n_true} fake), "
-            f"{dropped} cross-sector dropped, {dstats.zero_dr_skipped} zero-dr "
-            f"skipped, {lstats.missing_truth} missing-truth"
-        )
-    click.echo(f"{total} subgraphs written to {out}")
+    # A failed event removes every subgraph this run wrote, so a later
+    # command cannot train on part of the input. Each directory is recorded
+    # before it is written, so a half-written one goes too.
+    written = []
+    try:
+        for event_id, hits_path in paths_by_id.items():
+            stem = hits_path[: -len("-hits.csv")]
+            hits = hitgraph.select_barrel_hits(
+                hitgraph.load_event(hits_path, f"{stem}-particles.csv", f"{stem}-truth.csv")
+            )
+            if cuts.pt_mode == "filter":
+                hits = hitgraph.filter_low_pt_hits(hits, cuts.pt_min)
+            if not hits:
+                click.echo(f"warning: event {event_id} has no barrel hits")
+            pairs, dstats = hitgraph.build_doublets(hits, cuts)
+            labels, lstats = hitgraph.label_edges(pairs, hits, cuts)
+            subgraphs, dropped = hitgraph.section_graph(hits, pairs, labels, event_id)
+            for g in subgraphs:
+                written.append(os.path.join(out, hitgraph.subgraph_dirname(g)))
+                hitgraph.write_subgraph(g, out)
+            n_true = int(labels.sum())
+            click.echo(
+                f"event {event_id}: {len(hits)} hits kept, {len(pairs)} doublets "
+                f"({n_true} true / {len(pairs) - n_true} fake), "
+                f"{dropped} cross-sector dropped, {dstats.zero_dr_skipped} zero-dr "
+                f"skipped, {lstats.missing_truth} missing-truth"
+            )
+    except BaseException:
+        for path in written:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
+    click.echo(f"{len(written)} subgraphs written to {out}")
 
 
 @command("train")
@@ -341,8 +345,9 @@ def main(argv=None) -> int:
     except QSeedError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
-    except (IOError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        click.echo(f"error: {message}", err=True)
         return 2
 
 

@@ -4,6 +4,10 @@ Each error carries the exit code the CLI returns for it: UsageError -> 1,
 DataError and subclasses -> 2, NumericError -> 3.
 """
 
+# Every text input is UTF-8; a leading byte-order mark, which spreadsheet
+# tools write, is dropped.
+TEXT_ENCODING = "utf-8-sig"
+
 
 class QSeedError(Exception):
     """Base class for all package errors."""
@@ -57,3 +61,19 @@ def not_utf8(path: str, error: type) -> QSeedError:
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         return error(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     return error(f"{path}: not UTF-8 text")
+
+
+def read_lines(path: str, error: type) -> list[str]:
+    """The lines of a text file without their ends (CR, LF or CRLF), one
+    final empty line dropped. A file that cannot be opened or is not UTF-8
+    raises `error` naming the path."""
+    try:
+        with open(path, "r", encoding=TEXT_ENCODING) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise not_utf8(path, error) from None
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None
+    if lines[-1] == "":
+        lines.pop()
+    return lines

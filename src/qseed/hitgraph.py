@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError, UsageError, not_utf8
+from .errors import TEXT_ENCODING, DataError, ParseError, SchemaError, UsageError, not_utf8, read_lines
 
 BARREL_VOLUMES = (8, 13, 17)
 N_PHI_SECTORS = 8
@@ -132,7 +132,7 @@ def _screened_columns(path: str, columns: Sequence[Tuple[str, type]]) -> Optiona
     dtypes = [np.int64 if kind is int else np.float64 for _, kind in columns]
     blocks = [[np.empty(0, dtype)] for dtype in dtypes]
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding=TEXT_ENCODING, newline="") as fh:
             reader = csv.reader(fh)
             index = _column_index(path, next(reader, None) or [], columns)
             width = max(index) + 1
@@ -183,7 +183,7 @@ def _read_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[np.nda
     """
     values = []
     seen = set()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, "r", encoding=TEXT_ENCODING, errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         rows = _utf8_rows(path, reader)
         try:
@@ -232,8 +232,6 @@ def _load_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[np.nda
     """The arrays of _read_columns, read a block at a time by
     _screened_columns. Only a file that fails the screen is read again, row
     by row, so a valid file pays nothing for locating errors."""
-    if not os.path.exists(path):
-        raise IOError(f"no such file: {path}")
     arrays = _screened_columns(path, columns)
     return _read_columns(path, columns) if arrays is None else arrays
 
@@ -509,16 +507,8 @@ def write_subgraph(g: SubGraph, root: str) -> str:
 
 
 def _subgraph_rows(path: str, header: str) -> List[str]:
-    """The lines of a subgraph CSV after its checked header line. One final
-    empty string is dropped, so the lines are those that iterating the text
-    file gives (universal newlines, so CRLF too)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise not_utf8(path, ParseError) from None
-    if lines[-1] == "":
-        lines.pop()
+    """The lines of a subgraph CSV after its checked header line."""
+    lines = read_lines(path, ParseError)
     if not lines:
         raise ParseError(f"{path}:1: missing header")
     if lines[0] != header:

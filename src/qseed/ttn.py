@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, ParseError, not_utf8
+from .errors import DataError, ParseError, read_lines
 from .statevector import GateOp
 
 N_FEATURES = 6
@@ -268,12 +268,7 @@ def load_model(path: str) -> Tuple[TTNParams, FeatureScaler, dict]:
     thetas: List[float] = []
     meta: dict = {}
     section = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise not_utf8(path, ParseError) from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, ParseError), start=1):
         text = line.strip()
         if not text:
             continue

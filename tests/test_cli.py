@@ -2,6 +2,7 @@ import glob
 import math
 import os
 import re
+import shutil
 
 import click
 import numpy as np
@@ -228,6 +229,21 @@ class TestPreprocess:
             f"error: {hits}:4: not UTF-8 text (invalid start byte at byte {data.index(0xFF)})\n"
         )
 
+    def test_failed_later_event_removes_written_subgraphs(self, tmp_path, events_dir, capsys):
+        hits = events_dir / "event000000002-hits.csv"
+        lines = hits.read_text().splitlines()
+        lines[2] = ",".join(["x", *lines[2].split(",")[1:]])
+        hits.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        capsys.readouterr()
+        assert run(["preprocess", "--in", events_dir, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {hits}:3: non-integer value 'x' in column 'hit_id'\n"
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        assert run(["train", "--data", out, "--out", tmp_path / "m"]) == 2
+        assert not (tmp_path / "m").exists()
+
     def test_over_long_field_is_data_error(self, tmp_path, events_dir, capsys):
         hits = events_dir / "event000000001-hits.csv"
         lines = hits.read_text().splitlines()
@@ -286,6 +302,19 @@ class TestTrain:
         assert run(["train", "--data", subgraphs_dir, "--out", out2, "--config", out1 / "train_manifest.txt"]) == 0
         assert (out1 / "updates.csv").read_bytes() == (out2 / "updates.csv").read_bytes()
         assert (out1 / "model.txt").read_bytes() == (out2 / "model.txt").read_bytes()
+
+    def test_manifest_rerun_with_hash_in_data_path(self, tmp_path, subgraphs_dir):
+        """The manifest's data=<dir>#1 line keeps its '#': the rerun reads
+        <dir>#1, not the other data set at <dir>."""
+        data = tmp_path / "d#1"
+        shutil.copytree(subgraphs_dir, data)
+        for path in sorted(subgraphs_dir.glob("evt1_*")):
+            shutil.copytree(path, tmp_path / "d" / path.name)
+        first, again = tmp_path / "m1", tmp_path / "m2"
+        assert run(["train", "--data", data, "--out", first, "--epochs", "1", "--lr", "0.05"]) == 0
+        assert read_config_file(str(first / "train_manifest.txt"))["data"] == str(data)
+        assert run(["train", "--out", again, "--config", first / "train_manifest.txt"]) == 0
+        assert _outputs(again) == _outputs(first)
 
     def test_bad_config_value(self, tmp_path, subgraphs_dir):
         assert run(["train", "--data", subgraphs_dir, "--out", tmp_path / "x", "--split-ratio", "1.5"]) == 1
@@ -538,6 +567,31 @@ class TestConfigFile:
     def test_missing_config(self, tmp_path):
         assert run(["gen", "--out", tmp_path / "o", "--config", tmp_path / "none.txt"]) == 1
 
+    def test_config_directory_is_usage_error(self, tmp_path, capsys):
+        assert run(["gen", "--out", tmp_path / "o", "--config", tmp_path]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, command", [("data", "train"), ("in", "preprocess"), ("out", "gen"), ("model", "eval")]
+    )
+    def test_nul_byte_in_path_value_is_usage_error(self, tmp_path, capsys, key, command):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"# paths\n{key}=a\0b\n")
+        out = [] if key == "out" else ["--out", tmp_path / "o"]
+        assert run([command, "--config", cfg, *out]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: line holds a NUL byte\n"
+        assert os.listdir(tmp_path) == ["c.txt"]
+
+    def test_hash_starts_a_comment_only_at_line_start(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("  # indented comment\n\t#tracks=7\ndata=a#b\nseed=1\n")
+        assert read_config_file(str(cfg)) == {"data": "a#b", "seed": "1"}
+        cfg.write_text("tracks=5 # five\n")
+        assert run(["gen", "--out", tmp_path / "o", "--config", cfg]) == 1
+        assert "'5 # five' is not a valid integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
         cfg.write_text("trakcs=5\n")
@@ -698,3 +752,81 @@ def test_inputs_not_mutated(tmp_path, events_dir):
         f: (events_dir / f).read_bytes() for f in os.listdir(events_dir) if f.endswith(".csv")
     }
     assert before == after
+
+
+@pytest.mark.parametrize("command", ["preprocess", "eval", "predict"])
+def test_missing_input_file_names_its_path(tmp_path, events_dir, subgraphs_dir, capsys, command):
+    """A missing event CSV, model or subgraph file exits 2 with
+    `<path>: No such file or directory`."""
+    model = _model_file(tmp_path, subgraphs_dir)
+    if command == "preprocess":
+        missing = events_dir / "event000000002-truth.csv"
+        args = ["--in", events_dir]
+    elif command == "eval":
+        missing = tmp_path / "none.txt"
+        args = ["--data", subgraphs_dir, "--model", missing]
+    else:
+        missing = sorted(subgraphs_dir.glob("evt*_s*"))[-1] / "edges.csv"
+        args = ["--data", subgraphs_dir, "--model", model]
+    missing.unlink(missing_ok=True)
+    capsys.readouterr()
+    assert run([command, *args, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert not list((tmp_path / "o").glob("*"))
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of any one input file changes
+    nothing: the exit code, stdout and every output byte match the run
+    without it."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, events_dir, subgraphs_dir):
+        """Inputs under one directory, so that runs from copies of it with
+        relative paths print and write the same bytes."""
+        base = tmp_path / "base"
+        shutil.copytree(events_dir, base / "ev")
+        shutil.copytree(subgraphs_dir, base / "sg")
+        shutil.copy(_model_file(tmp_path, subgraphs_dir), base / "model.txt")
+        (base / "c.txt").write_text("data=sg\nmodel=model.txt\nthreshold=0.4\nshots=100\nshot_seed=2\n")
+        return base
+
+    def assert_mark_changes_nothing(self, tmp_path, inputs, monkeypatch, capsys, name, args):
+        runs = []
+        for marked in (False, True):
+            root = tmp_path / ("marked" if marked else "plain")
+            shutil.copytree(inputs, root)
+            if marked:
+                (root / name).write_bytes(BOM + (root / name).read_bytes())
+            monkeypatch.chdir(root)
+            capsys.readouterr()
+            code = run([*args, "--out", "o"])
+            (manifest,) = (root / "o").glob("*_manifest.txt")
+            lines = [x for x in manifest.read_text().splitlines() if not x.startswith("duration_s=")]
+            runs.append((code, capsys.readouterr().out, lines, _outputs(root / "o")))
+        assert runs[0][0] == 0 and runs[0][3]
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("kind", ["hits", "particles", "truth"])
+    def test_event_file(self, tmp_path, inputs, monkeypatch, capsys, kind):
+        args = ["preprocess", "--in", "ev", "--pt-min", "0.1", "--dphi-max", "0.5", "--z0-max", "100000"]
+        name = f"ev/event000000001-{kind}.csv"
+        self.assert_mark_changes_nothing(tmp_path, inputs, monkeypatch, capsys, name, args)
+
+    @pytest.mark.parametrize("file", ["nodes.csv", "edges.csv"])
+    def test_subgraph_file(self, tmp_path, inputs, monkeypatch, capsys, file):
+        graph = max(sorted((inputs / "sg").glob("evt*_s*")), key=lambda d: (d / "edges.csv").stat().st_size)
+        name = graph.relative_to(inputs) / file
+        args = ["predict", "--data", "sg", "--model", "model.txt"]
+        self.assert_mark_changes_nothing(tmp_path, inputs, monkeypatch, capsys, name, args)
+
+    def test_model_file(self, tmp_path, inputs, monkeypatch, capsys):
+        args = ["predict", "--data", "sg", "--model", "model.txt"]
+        self.assert_mark_changes_nothing(tmp_path, inputs, monkeypatch, capsys, "model.txt", args)
+
+    def test_config_file(self, tmp_path, inputs, monkeypatch, capsys):
+        args = ["eval", "--config", "c.txt"]
+        self.assert_mark_changes_nothing(tmp_path, inputs, monkeypatch, capsys, "c.txt", args)

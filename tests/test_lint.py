@@ -95,3 +95,44 @@ def test_every_definition_has_a_product_caller():
         if module not in REFERENCE_MODULES and (module, name) not in READ_OUTSIDE_PRODUCT
     ]
     assert found == []
+
+
+def text_reads_without_text_encoding(source):
+    """Lines of each `open(` that reads text without `encoding=TEXT_ENCODING`.
+    Binary opens ("b" in the mode) and write-only opens are exempt; a mode
+    that is not a string literal is flagged."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode", ast.Constant("r"))
+        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+            if "b" in mode.value or (set(mode.value) & set("wax") and "+" not in mode.value):
+                continue
+        if getattr(keywords.get("encoding"), "id", None) != "TEXT_ENCODING":
+            found.append(node.lineno)
+    return found
+
+
+def test_checker_finds_text_read_without_text_encoding():
+    source = (
+        "open(p)\n"
+        "open(p, 'r', encoding='utf-8')\n"
+        "open(p, encoding=TEXT_ENCODING, newline='')\n"
+        "open(p, 'rb')\n"
+        "open(p, mode='w', encoding='utf-8')\n"
+        "open(p, 'r+', encoding='utf-8')\n"
+        "open(p, m, encoding='utf-8')\n"
+        "open(p, 'r', encoding=TEXT_ENCODING, errors='surrogateescape')\n"
+    )
+    assert text_reads_without_text_encoding(source) == [1, 2, 6, 7]
+
+
+def test_every_text_read_decodes_with_text_encoding():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in text_reads_without_text_encoding(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
