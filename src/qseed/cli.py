@@ -34,7 +34,9 @@ MANIFEST_VERSION = "qseed-1"
 def read_config_file(path: Optional[str]) -> Dict[str, str]:
     """Parse a name=value config file. A line whose first non-blank
     character is '#' is a comment; elsewhere '#' is part of the value, so a
-    path that holds one survives a manifest rerun."""
+    path that holds one survives a manifest rerun. The name is stripped of
+    blanks; the value is everything after the first '=', blanks included,
+    so a path that starts or ends with a blank survives too."""
     if path is None:
         return {}
     values: Dict[str, str] = {}
@@ -42,12 +44,12 @@ def read_config_file(path: Optional[str]) -> Dict[str, str]:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        if "\0" in text:
+        if "\0" in line:
             raise UsageError(f"{path}:{lineno}: line holds a NUL byte")
-        if "=" not in text:
+        if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected name=value")
-        name, value = text.split("=", 1)
-        values[name.strip()] = value.strip()
+        name, value = line.split("=", 1)
+        values[name.strip()] = value
     return values
 
 
@@ -289,11 +291,15 @@ def _metrics_report(m: training.Metrics) -> str:
     )
 
 
+# numpy's binomial draw takes a count of at most 2**63 - 1 and raises above it.
+SHOT_COUNT = click.IntRange(min=0, max=2**63 - 1)
+
+
 @command("eval")
 @click.option("--data", required=True, type=click.Path())
 @click.option("--model", required=True, type=click.Path())
 @click.option("--threshold", type=float, default=0.5, callback=_check_threshold)
-@click.option("--shots", type=click.IntRange(min=0), default=0)
+@click.option("--shots", type=SHOT_COUNT, default=0)
 @click.option("--shot-seed", type=click.IntRange(min=0), default=0)
 def cmd_eval(out, data, model, threshold, shots, shot_seed):
     """Evaluate a trained model; optionally with shot-based readout."""
@@ -313,7 +319,7 @@ def cmd_eval(out, data, model, threshold, shots, shot_seed):
 @command("predict")
 @click.option("--data", required=True, type=click.Path())
 @click.option("--model", required=True, type=click.Path())
-@click.option("--shots", type=click.IntRange(min=0), default=0)
+@click.option("--shots", type=SHOT_COUNT, default=0)
 @click.option("--shot-seed", type=click.IntRange(min=0), default=0)
 def cmd_predict(out, data, model, shots, shot_seed):
     """Write per-edge truth probabilities for a subgraph set."""

@@ -66,14 +66,22 @@ def not_utf8(path: str, error: type) -> QSeedError:
 def read_lines(path: str, error: type) -> list[str]:
     """The lines of a text file without their ends (CR, LF or CRLF), one
     final empty line dropped. A file that cannot be opened or is not UTF-8
-    raises `error` naming the path."""
+    raises `error` naming the path.
+
+    The whole file is decoded at once: a streaming decoder would read a file
+    holding only part of a byte-order mark as empty text.
+    """
     try:
-        with open(path, "r", encoding=TEXT_ENCODING) as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise not_utf8(path, error) from None
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise error(f"{path}: {exc.strerror}") from None
+    try:
+        text = data.decode(TEXT_ENCODING)
+    except UnicodeDecodeError:
+        raise not_utf8(path, error) from None
+    # str.splitlines would also split on \x0b, \x1c, \u2028 and others
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

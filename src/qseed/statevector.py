@@ -3,7 +3,7 @@
 The gate-list simulator and the dense-unitary oracle are the reference that
 tests hold `ttn.forward_batch` to. The product scores edges with
 `forward_batch` and takes only `GateOp`, `ShotConfig` and `shot_estimate`
-from this module.
+from this module; `sample_shots` applies that shot rule to one state.
 
 Convention: little-endian basis indexing. Qubit k corresponds to bit k of the
 amplitude index, so for two qubits the amplitude order is |00>, |10>, |01>,
@@ -136,17 +136,16 @@ def prob_one(state: StateVector, qubit: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def shot_estimate(p: float, cfg: ShotConfig) -> float:
-    """Estimate a readout probability p by cfg.n_shots Bernoulli draws from a
-    generator seeded with cfg.seed: the fraction of draws below p."""
-    rng = np.random.default_rng(cfg.seed)
-    hits = int(np.count_nonzero(rng.random(cfg.n_shots) < p))
-    return hits / cfg.n_shots
+def shot_estimate(p, cfg: ShotConfig):
+    """Estimate readout probabilities p (a scalar or an array) from
+    cfg.n_shots shots each: one binomial draw over all of p, seeded with
+    cfg.seed, divided by n_shots. Memory does not grow with n_shots."""
+    return np.random.default_rng(cfg.seed).binomial(cfg.n_shots, p) / cfg.n_shots
 
 
 def sample_shots(state: StateVector, qubit: int, cfg: ShotConfig) -> float:
     """Estimate prob_one by seeded shots (shot_estimate)."""
-    return shot_estimate(prob_one(state, qubit), cfg)
+    return float(shot_estimate(prob_one(state, qubit), cfg))
 
 
 def _ry_matrix(angle: float) -> np.ndarray:

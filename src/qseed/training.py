@@ -197,20 +197,18 @@ def edge_predictions(
 
     The whole set is scored in one forward_batch, whose rows are independent,
     so each prediction has the bits of scoring its edge alone. In shot mode
-    each edge gets its own derived seed (shots.seed + edge index, counted
-    across subgraphs) so estimates are independent yet reproducible.
+    the whole prediction vector is sampled in one shot_estimate draw seeded
+    with shots.seed, so estimates are independent yet reproducible.
     """
     # the empty block keeps np.concatenate defined for a set without edges
     raw = np.concatenate([np.empty((0, N_FEATURES))] + [subgraph_features(g) for g in subgraphs])
-    preds = forward_batch(scaler.transform(raw), params.thetas)[0].tolist()
-    n = 0
+    preds = forward_batch(scaler.transform(raw), params.thetas)[0]
+    if shots:
+        preds = shot_estimate(preds, shots)
+    preds = iter(preds.tolist())
     for g in subgraphs:
         for edge in g.edges:
-            pred = preds[n]
-            if shots:
-                pred = shot_estimate(pred, ShotConfig(shots.n_shots, shots.seed + n))
-            yield g, edge, pred
-            n += 1
+            yield g, edge, next(preds)
 
 
 def evaluate_metrics(

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from qseed import training, ttn
 from qseed.hitgraph import N_PHI_SECTORS, Hits, SubGraph, subgraph_dirname
-from qseed.statevector import GateOp, ShotConfig, apply_circuit, new_zero_state, prob_one, sample_shots
+from qseed.statevector import GateOp, apply_circuit, new_zero_state, prob_one, sample_shots, shot_estimate
 
 # Fuzz tests draw the same examples on every run and have no time limit per
 # example, so a slow host cannot fail them.
@@ -242,13 +242,13 @@ def reference_step(g, params, scaler, cfg):
 
 
 def reference_predictions(subgraphs, params, scaler, shots=None):
-    """(subgraph, edge, pred) per edge, shot seeds shots.seed + edge index."""
+    """(subgraph, edge, pred) per edge; in shot mode one shot_estimate draw
+    over the predictions of every edge."""
     edges = [(g, edge) for g in subgraphs for edge in g.edges]
-    out = []
-    for n, (g, edge) in enumerate(edges):
-        edge_shots = ShotConfig(shots.n_shots, shots.seed + n) if shots else None
-        out.append((g, edge, reference_forward(training.edge_raw_features(g, edge), params, scaler, edge_shots)))
-    return out
+    preds = [reference_forward(training.edge_raw_features(g, edge), params, scaler) for g, edge in edges]
+    if shots:
+        preds = shot_estimate(np.array(preds), shots).tolist()
+    return [(g, edge, pred) for (g, edge), pred in zip(edges, preds)]
 
 
 def reference_confusion(subgraphs, params, scaler, threshold):

@@ -122,6 +122,28 @@ def test_criterion_4_shot_statistics():
     report(4, ok, f"(std {std:.4f} vs binomial {expected:.4f})")
 
 
+def test_product_shot_statistics():
+    """Criterion 4's statistics hold on the product's shot path: one draw
+    over a whole edge set gives each edge an unbiased binomial estimate with
+    the binomial spread, independent of its neighbour in edge order."""
+    rng = np.random.default_rng(71)
+    subgraphs = [random_subgraph(rng) for _ in range(300)]
+    scaler = ttn.fit_scaler(training.collect_features(subgraphs))
+    params = ttn.TTNParams(rng.uniform(0, 2 * math.pi, 11))
+    p = np.array([pred for _, _, pred in training.edge_predictions(subgraphs, params, scaler)])
+    inner = (p > 0.05) & (p < 0.95)
+    assert np.count_nonzero(inner) >= 2000
+    bound = 4 / math.sqrt(np.count_nonzero(inner))
+    for seed in range(3):
+        shots = ShotConfig(1000, seed)
+        est = np.array([pred for _, _, pred in training.edge_predictions(subgraphs, params, scaler, shots)])
+        assert np.array_equal(est * 1000, np.round(est * 1000))
+        z = (est[inner] - p[inner]) / np.sqrt(p[inner] * (1 - p[inner]) / 1000)
+        assert abs(z.mean()) < bound
+        assert abs(z.var() - 1) < 0.1
+        assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < bound
+
+
 def test_criterion_5_counting_claims(tmp_path):
     events = tmp_path / "events"
     subs = tmp_path / "subgraphs"

@@ -316,6 +316,19 @@ class TestTrain:
         assert run(["train", "--out", again, "--config", first / "train_manifest.txt"]) == 0
         assert _outputs(again) == _outputs(first)
 
+    @pytest.mark.parametrize("name", [" sg", "sg "])
+    def test_manifest_rerun_with_blank_around_data_path(self, tmp_path, subgraphs_dir, monkeypatch, name):
+        """The manifest's `data= sg` line keeps its blank: the rerun reads
+        ` sg`, not the other data set at `sg`."""
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(subgraphs_dir, name)
+        for path in sorted(subgraphs_dir.glob("evt1_*")):
+            shutil.copytree(path, tmp_path / "sg" / path.name)
+        assert run(["train", "--data", name, "--out", "m1", "--epochs", "1", "--lr", "0.05"]) == 0
+        assert read_config_file("m1/train_manifest.txt")["data"] == name
+        assert run(["train", "--out", "m2", "--config", "m1/train_manifest.txt"]) == 0
+        assert _outputs(tmp_path / "m2") == _outputs(tmp_path / "m1")
+
     def test_bad_config_value(self, tmp_path, subgraphs_dir):
         assert run(["train", "--data", subgraphs_dir, "--out", tmp_path / "x", "--split-ratio", "1.5"]) == 1
 
@@ -418,6 +431,31 @@ class TestEvalPredict:
         assert run([*args, "--shots", "-5"]) == 1
         assert run([*args, "--config", cfg]) == 1
         assert capsys.readouterr().err.count("'--shots': -5 is not in the range") == 2
+
+    @pytest.mark.parametrize("shots", [10**12, 2**63 - 1])
+    def test_huge_shot_count(self, tmp_path, subgraphs_dir, model_dir, shots):
+        """Any count up to 2**63 - 1 is one binomial draw per edge, whose
+        estimate lies within a few standard errors of the analytic one."""
+        flags = ["--data", subgraphs_dir, "--model", model_dir / "model.txt"]
+        assert run(["eval", *flags, "--out", tmp_path / "e", "--shots", shots]) == 0
+        assert run(["predict", *flags, "--out", tmp_path / "s", "--shots", shots]) == 0
+        assert run(["predict", *flags, "--out", tmp_path / "a"]) == 0
+        read = lambda out: [float(x.rsplit(",", 1)[1]) for x in (out / "predictions.csv").read_text().splitlines()[1:]]
+        estimates, exact = read(tmp_path / "s"), read(tmp_path / "a")
+        assert len(estimates) == len(exact) > 0
+        assert max(abs(a - b) for a, b in zip(estimates, exact)) < 1e-5
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_shot_count_above_int64_usage_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"shots={2**63}\n")
+        args = [command, "--data", tmp_path / "d", "--model", tmp_path / "m.txt", "--out", tmp_path / "o"]
+        assert run([*args, "--shots", 2**63]) == 1
+        assert run([*args, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"'--shots': {2**63} is not in the range 0<=x<={2**63 - 1}.") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_model_file_is_data_error(self, tmp_path, subgraphs_dir, capsys):
         model = tmp_path / "model.txt"
@@ -830,3 +868,33 @@ class TestByteOrderMark:
     def test_config_file(self, tmp_path, inputs, monkeypatch, capsys):
         args = ["eval", "--config", "c.txt"]
         self.assert_mark_changes_nothing(tmp_path, inputs, monkeypatch, capsys, "c.txt", args)
+
+
+@pytest.mark.parametrize("mark", [b"\xef", b"\xef\xbb"], ids=["EF", "EF BB"])
+@pytest.mark.parametrize("file", ["config", "model", "nodes"])
+def test_partial_byte_order_mark_is_not_utf8(tmp_path, subgraphs_dir, capsys, mark, file):
+    """A file of only the first bytes of a mark is not UTF-8 text, not an
+    empty file: a config would otherwise run on every default."""
+    model = _model_file(tmp_path, subgraphs_dir)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("tracks=5\n")
+    path = {"config": cfg, "model": model, "nodes": sorted(subgraphs_dir.glob("evt*_s*"))[-1] / "nodes.csv"}[file]
+    path.write_bytes(mark)
+    capsys.readouterr()
+    if file == "config":
+        assert run(["gen", "--out", tmp_path / "o", "--config", cfg]) == 1
+    else:
+        assert run(["predict", "--data", subgraphs_dir, "--model", model, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: not UTF-8 text (unexpected end of data at byte 0)\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mark", [b"\xef", b"\xef\xbb"], ids=["EF", "EF BB"])
+def test_partial_byte_order_mark_event_file_has_no_header(tmp_path, events_dir, capsys, mark):
+    """Event CSVs are read as a stream, whose decoder drops a partial mark at
+    the end of the file: the file reads as empty, without its header."""
+    hits = events_dir / "event000000001-hits.csv"
+    hits.write_bytes(mark)
+    capsys.readouterr()
+    assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"error: {hits}: missing column 'hit_id'\n"

@@ -14,6 +14,7 @@ from qseed.errors import ParseError, UsageError, read_lines
         (b"\xef\xbb\xbfa\nb", ["a", "b"]),
         (b"\xef\xbb\xbf", []),
         (b"a\n\xef\xbb\xbfb\n", ["a", "\ufeffb"]),  # only a leading mark is dropped
+        (b"a\x0bb\x1cc\xc2\x85d\xe2\x80\xa8e\n", ["a\x0bb\x1cc\x85d\u2028e"]),  # not line ends here
     ],
 )
 def test_read_lines(tmp_path, data, lines):

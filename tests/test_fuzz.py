@@ -3,8 +3,11 @@
 Each example takes valid input files, inserts, deletes or flips bytes in one
 of them, runs a command on the result, and checks that it ends in a
 documented exit code: `main` returns 0, 1, 2 or 3, and a failed run prints
-an `error: ` message and no traceback. Counts, `--shots` and `--epochs`
-stay out of the fuzzed config: those values size the work itself.
+an `error: ` message and no traceback. The fuzzed config holds a shot
+count, which a mutation can make huge: one binomial draw per edge costs the
+same for any count up to 2**63 - 1, and a larger one is a usage error. Other
+counts, such as `--epochs`, stay out of it: those values size the work
+itself.
 """
 
 import re
@@ -62,7 +65,7 @@ def inputs(tmp_path_factory):
     assert all(g.edges for g in subgraphs)
     scaler = ttn.fit_scaler(training.collect_features(subgraphs))
     ttn.save_model(str(base / "model.txt"), ttn.init_params(3), scaler, 3)
-    (base / "c.txt").write_text(f"data={base / 'sg'}\nmodel={base / 'model.txt'}\nthreshold=0.5\nshot_seed=3\n")
+    (base / "c.txt").write_text(f"data={base / 'sg'}\nmodel={base / 'model.txt'}\nthreshold=0.5\nshots=100\nshot_seed=3\n")
     return base
 
 
@@ -104,10 +107,22 @@ def test_model_file_through_predict(inputs, capsys, mutations):
 @given(mutations=MUTATIONS)
 def test_config_file_through_eval(inputs, capsys, mutations):
     """The config names the unmutated data and model of `inputs`."""
-    # A mutation can spell an option that sizes the work, such as `shots`.
+    # A mutation can spell an option that sizes the work, such as `epochs`.
     mutated = mutate((inputs / "c.txt").read_bytes(), mutations)
-    assume(not re.search(rb"^\s*(shots|epochs|events|tracks|noise)\s*=", mutated, re.MULTILINE))
+    assume(not re.search(rb"^\s*(epochs|events|tracks|noise)\s*=", mutated, re.MULTILINE))
     shutil.rmtree(run_mutated(inputs, capsys, "c.txt", mutations, ["eval", "--config", "{root}/c.txt"])[1])
+
+
+@pytest.mark.parametrize("digits, code", [(b"9" * 30, 1), (b"0" * 12, 0)], ids=["30 nines", "1e14"])
+def test_config_shot_count_mutated_large(inputs, capsys, digits, code):
+    """Digits inserted into `shots=100`: a count above 2**63 - 1 is a usage
+    error, a count of 1e14 runs."""
+    data = (inputs / "c.txt").read_bytes()
+    at = data.index(b"shots=") + len(b"shots=") + (code == 0) * len(b"100")
+    mutations = [("insert", (at + 0.5) / (len(data) + 1), digits)]
+    got, root = run_mutated(inputs, capsys, "c.txt", mutations, ["eval", "--config", "{root}/c.txt"])
+    assert got == code
+    shutil.rmtree(root)
 
 
 @FUZZ
