@@ -26,7 +26,6 @@ import click
 
 from .errors import DataError, QSeedError, UsageError, read_lines
 from . import hitgraph, synthgen, training, ttn
-from .statevector import ShotConfig
 
 MANIFEST_VERSION = "qseed-1"
 
@@ -114,12 +113,6 @@ def _load_subgraphs(data_dir: str):
     if not paths:
         raise DataError(f"no subgraph directories under {data_dir}")
     return [hitgraph.read_subgraph(p) for p in paths]
-
-
-def _model_and_data(model: str, data: str):
-    """The model's parameters and scaler, and every subgraph under `data`."""
-    params, scaler, _ = ttn.load_model(model)
-    return params, scaler, _load_subgraphs(data)
 
 
 @command("gen")
@@ -303,9 +296,9 @@ SHOT_COUNT = click.IntRange(min=0, max=2**63 - 1)
 @click.option("--shot-seed", type=click.IntRange(min=0), default=0)
 def cmd_eval(out, data, model, threshold, shots, shot_seed):
     """Evaluate a trained model; optionally with shot-based readout."""
-    params, scaler, subgraphs = _model_and_data(model, data)
-    shot_cfg = ShotConfig(shots, shot_seed) if shots > 0 else None
-    metrics = training.evaluate_metrics(subgraphs, params, scaler, threshold, shot_cfg)
+    params, scaler, _ = ttn.load_model(model)
+    subgraphs = _load_subgraphs(data)
+    metrics = training.evaluate_metrics(subgraphs, params, scaler, threshold, shots, shot_seed)
     if metrics.total == 0:
         raise DataError("no edges to evaluate")
     os.makedirs(out, exist_ok=True)
@@ -323,18 +316,17 @@ def cmd_eval(out, data, model, threshold, shots, shot_seed):
 @click.option("--shot-seed", type=click.IntRange(min=0), default=0)
 def cmd_predict(out, data, model, shots, shot_seed):
     """Write per-edge truth probabilities for a subgraph set."""
-    params, scaler, subgraphs = _model_and_data(model, data)
+    params, scaler, _ = ttn.load_model(model)
+    subgraphs = _load_subgraphs(data)
+    preds = training.edge_predictions(subgraphs, params, scaler, shots, shot_seed)
     os.makedirs(out, exist_ok=True)
-    shot_cfg = ShotConfig(shots, shot_seed) if shots > 0 else None
-    n = 0
+    edges = ((hitgraph.subgraph_dirname(g), e) for g in subgraphs for e in g.edges)
     with open(os.path.join(out, "predictions.csv"), "w", encoding="utf-8") as fh:
         fh.write("subgraph,src,dst,label,pred\n")
-        for g, (src, dst, label), pred in training.edge_predictions(
-            subgraphs, params, scaler, shot_cfg
-        ):
-            fh.write(f"{hitgraph.subgraph_dirname(g)},{src},{dst},{label},{pred!r}\n")
-            n += 1
-    click.echo(f"{n} predictions written")
+        # tolist() gives Python floats, whose repr is a plain number
+        for (name, (src, dst, label)), pred in zip(edges, preds.tolist()):
+            fh.write(f"{name},{src},{dst},{label},{pred!r}\n")
+    click.echo(f"{len(preds)} predictions written")
 
 
 def main(argv=None) -> int:

@@ -112,10 +112,14 @@ class LabelStats:
 # --- CSV loading -------------------------------------------------------------
 
 
-def _column_index(path: str, header: List[str], columns: Sequence[Tuple[str, type]]) -> List[int]:
-    """Position of each named column in the header row."""
+def _column_index(path: str, header: Optional[List[str]], columns: Sequence[Tuple[str, type]]) -> List[int]:
+    """Position of each named column in the header row. A file that gave no
+    row (None) and holds 1 or 2 bytes is part of a byte-order mark, which a
+    stream decoder reads as empty text: it is not UTF-8."""
+    if header is None and os.path.getsize(path) in (1, 2):
+        raise not_utf8(path, ParseError)
     for col, _ in columns:
-        if col not in header:
+        if header is None or col not in header:
             raise SchemaError(f"{path}: missing column '{col}'")
     # a repeated column name reads its last occurrence
     return [len(header) - 1 - header[::-1].index(col) for col, _ in columns]
@@ -134,7 +138,7 @@ def _screened_columns(path: str, columns: Sequence[Tuple[str, type]]) -> Optiona
     try:
         with open(path, "r", encoding=TEXT_ENCODING, newline="") as fh:
             reader = csv.reader(fh)
-            index = _column_index(path, next(reader, None) or [], columns)
+            index = _column_index(path, next(reader, None), columns)
             width = max(index) + 1
             while lines := list(itertools.islice(reader, _BLOCK_ROWS)):
                 rows = [row for row in lines if row]  # blank lines are not rows
@@ -187,7 +191,7 @@ def _read_columns(path: str, columns: Sequence[Tuple[str, type]]) -> List[np.nda
         reader = csv.reader(fh)
         rows = _utf8_rows(path, reader)
         try:
-            index = _column_index(path, next(rows, None) or [], columns)
+            index = _column_index(path, next(rows, None), columns)
             for row in rows:
                 if not row:
                     continue  # blank lines are not rows
@@ -301,14 +305,11 @@ def select_barrel_hits(hits: Hits) -> Hits:
     return kept
 
 
-def _wrap_phi_array(dphi: np.ndarray) -> np.ndarray:
-    """Wrap angle differences into (-pi, pi] one 2pi step at a time, with the
-    float operations of the scalar while-loop."""
-    while (low := dphi <= -math.pi).any():
-        dphi = np.where(low, dphi + _TWO_PI, dphi)
-    while (high := dphi > math.pi).any():
-        dphi = np.where(high, dphi - _TWO_PI, dphi)
-    return dphi
+def _abs_wrapped_dphi(dphi: np.ndarray) -> np.ndarray:
+    """|dphi| wrapped into [0, pi], with the bits of abs() of the scalar
+    while-loop wrap into (-pi, pi]. Both phis come from atan2, so |dphi| <=
+    2pi and one step suffices."""
+    return np.minimum(np.abs(dphi), _TWO_PI - np.abs(dphi))
 
 
 def _layer_pair_doublets(
@@ -379,7 +380,7 @@ def _layer_pair_doublets(
         swap = hits.r[a] > hits.r[b]
         src, dst = np.where(swap, b, a), np.where(swap, a, b)
         dr = hits.r[dst] - hits.r[src]
-        abs_dphi = np.abs(_wrap_phi_array(hits.phi[dst] - hits.phi[src]))
+        abs_dphi = _abs_wrapped_dphi(hits.phi[dst] - hits.phi[src])
         if cuts.cut_mode == "slope":
             ok = abs_dphi / dr < cuts.dphi_slope_max
         else:

@@ -2,8 +2,8 @@
 
 The gate-list simulator and the dense-unitary oracle are the reference that
 tests hold `ttn.forward_batch` to. The product scores edges with
-`forward_batch` and takes only `GateOp`, `ShotConfig` and `shot_estimate`
-from this module; `sample_shots` applies that shot rule to one state.
+`forward_batch` and takes only `GateOp` and the shot rule `shot_estimate`
+from this module; `sample_shots` applies that rule to one state.
 
 Convention: little-endian basis indexing. Qubit k corresponds to bit k of the
 amplitude index, so for two qubits the amplitude order is |00>, |10>, |01>,
@@ -44,18 +44,6 @@ class GateOp:
     target: int
     control: Optional[int] = None
     angle: Optional[float] = None
-
-
-@dataclass
-class ShotConfig:
-    """Shot-based readout settings."""
-
-    n_shots: int = 1000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_shots < 1:
-            raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
 
 
 def new_zero_state(n_qubits: int) -> StateVector:
@@ -136,16 +124,18 @@ def prob_one(state: StateVector, qubit: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def shot_estimate(p, cfg: ShotConfig):
-    """Estimate readout probabilities p (a scalar or an array) from
-    cfg.n_shots shots each: one binomial draw over all of p, seeded with
-    cfg.seed, divided by n_shots. Memory does not grow with n_shots."""
-    return np.random.default_rng(cfg.seed).binomial(cfg.n_shots, p) / cfg.n_shots
+def shot_estimate(p, n_shots: int, seed: int):
+    """Estimate readout probabilities p (a scalar or an array) from n_shots
+    shots each: one binomial draw over all of p, seeded with seed, divided by
+    n_shots. Memory does not grow with n_shots."""
+    return np.random.default_rng(seed).binomial(n_shots, p) / n_shots
 
 
-def sample_shots(state: StateVector, qubit: int, cfg: ShotConfig) -> float:
-    """Estimate prob_one by seeded shots (shot_estimate)."""
-    return float(shot_estimate(prob_one(state, qubit), cfg))
+def sample_shots(state: StateVector, qubit: int, n_shots: int, seed: int) -> float:
+    """Estimate prob_one by seeded shots (shot_estimate); n_shots >= 1."""
+    if n_shots < 1:
+        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    return float(shot_estimate(prob_one(state, qubit), n_shots, seed))
 
 
 def _ry_matrix(angle: float) -> np.ndarray:

@@ -8,15 +8,14 @@ circuit gradient) and applied once. Metrics are confusion-matrix based.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError
 from .hitgraph import SubGraph, subgraph_dirname
-from .statevector import ShotConfig, shot_estimate
+from .statevector import shot_estimate
 from .ttn import N_FEATURES, FeatureScaler, TTNParams, forward_batch, gradient_batch
 
 # Predictions are clamped to [BCE_EPS, 1 - BCE_EPS] so the loss stays finite.
@@ -191,24 +190,20 @@ def edge_predictions(
     subgraphs: Sequence[SubGraph],
     params: TTNParams,
     scaler: FeatureScaler,
-    shots: Optional[ShotConfig] = None,
-) -> Iterator[Tuple[SubGraph, Tuple[int, int, int], float]]:
-    """(subgraph, edge, pred) for every edge of every subgraph, in order.
+    n_shots: int = 0,
+    shot_seed: int = 0,
+) -> np.ndarray:
+    """One prediction per edge of every subgraph, in set order.
 
     The whole set is scored in one forward_batch, whose rows are independent,
-    so each prediction has the bits of scoring its edge alone. In shot mode
-    the whole prediction vector is sampled in one shot_estimate draw seeded
-    with shots.seed, so estimates are independent yet reproducible.
+    so each prediction has the bits of scoring its edge alone. With n_shots
+    > 0 the whole vector is sampled in one shot_estimate draw seeded with
+    shot_seed, so estimates are independent yet reproducible; 0 is analytic.
     """
     # the empty block keeps np.concatenate defined for a set without edges
     raw = np.concatenate([np.empty((0, N_FEATURES))] + [subgraph_features(g) for g in subgraphs])
     preds = forward_batch(scaler.transform(raw), params.thetas)[0]
-    if shots:
-        preds = shot_estimate(preds, shots)
-    preds = iter(preds.tolist())
-    for g in subgraphs:
-        for edge in g.edges:
-            yield g, edge, next(preds)
+    return shot_estimate(preds, n_shots, shot_seed) if n_shots else preds
 
 
 def evaluate_metrics(
@@ -216,19 +211,18 @@ def evaluate_metrics(
     params: TTNParams,
     scaler: FeatureScaler,
     threshold: float = 0.5,
-    shots: Optional[ShotConfig] = None,
+    n_shots: int = 0,
+    shot_seed: int = 0,
 ) -> Metrics:
     """Confusion counts over all edges; predicted true when pred >= threshold.
     A set without edges gives zero counts."""
-    counts = Counter(
-        (bool(edge[2]), bool(pred >= threshold))
-        for _, edge, pred in edge_predictions(subgraphs, params, scaler, shots)
-    )
+    truth = np.array([label for g in subgraphs for _, _, label in g.edges], dtype=bool)
+    predicted = edge_predictions(subgraphs, params, scaler, n_shots, shot_seed) >= threshold
     return Metrics(
-        tp=counts[True, True],
-        fp=counts[False, True],
-        tn=counts[False, False],
-        fn=counts[True, False],
+        tp=int(np.count_nonzero(truth & predicted)),
+        fp=int(np.count_nonzero(~truth & predicted)),
+        tn=int(np.count_nonzero(~truth & ~predicted)),
+        fn=int(np.count_nonzero(truth & ~predicted)),
     )
 
 

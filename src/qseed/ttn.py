@@ -273,6 +273,8 @@ def load_model(path: str) -> Tuple[TTNParams, FeatureScaler, dict]:
         if not text:
             continue
         if text.startswith("["):
+            if text not in ("[scaler]", "[params]", "[meta]"):
+                raise ParseError(f"{path}:{lineno}: unknown section {text!r}")
             section = text
             continue
         try:

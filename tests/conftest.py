@@ -204,12 +204,12 @@ def encode_features(raw, scaler):
     return state
 
 
-def reference_forward(raw, params, scaler, shots=None):
+def reference_forward(raw, params, scaler, n_shots=0, shot_seed=0):
     state = encode_features(raw, scaler)
     apply_circuit(state, ttn.circuit_gates(params))
-    if shots is None:
+    if not n_shots:
         return prob_one(state, ttn.READOUT_QUBIT)
-    return sample_shots(state, ttn.READOUT_QUBIT, shots)
+    return sample_shots(state, ttn.READOUT_QUBIT, n_shots, shot_seed)
 
 
 def reference_gradient(raw, params, scaler):
@@ -241,20 +241,24 @@ def reference_step(g, params, scaler, cfg):
     return ttn.TTNParams(params.thetas - cfg.learning_rate * grad_sum / n), loss_sum / n
 
 
-def reference_predictions(subgraphs, params, scaler, shots=None):
-    """(subgraph, edge, pred) per edge; in shot mode one shot_estimate draw
-    over the predictions of every edge."""
-    edges = [(g, edge) for g in subgraphs for edge in g.edges]
-    preds = [reference_forward(training.edge_raw_features(g, edge), params, scaler) for g, edge in edges]
-    if shots:
-        preds = shot_estimate(np.array(preds), shots).tolist()
-    return [(g, edge, pred) for (g, edge), pred in zip(edges, preds)]
+def reference_predictions(subgraphs, params, scaler, n_shots=0, shot_seed=0):
+    """One prediction per edge of every subgraph, in set order; with n_shots
+    > 0 one shot_estimate draw over the predictions of every edge."""
+    preds = [
+        reference_forward(training.edge_raw_features(g, edge), params, scaler)
+        for g in subgraphs
+        for edge in g.edges
+    ]
+    if n_shots:
+        preds = shot_estimate(np.array(preds), n_shots, shot_seed).tolist()
+    return preds
 
 
 def reference_confusion(subgraphs, params, scaler, threshold):
     """(tp, fp, tn, fn) of the reference predictions."""
     counts = {(t, p): 0 for t in (True, False) for p in (True, False)}
-    for _, edge, pred in reference_predictions(subgraphs, params, scaler):
+    edges = [edge for g in subgraphs for edge in g.edges]
+    for edge, pred in zip(edges, reference_predictions(subgraphs, params, scaler)):
         counts[bool(edge[2]), bool(pred >= threshold)] += 1
     return counts[True, True], counts[False, True], counts[False, False], counts[True, False]
 

@@ -16,7 +16,7 @@ from qseed import hitgraph as hg
 from qseed import synthgen, training, ttn
 from qseed.cli import main as cli_main
 from qseed.errors import ParseError
-from qseed.statevector import ShotConfig, apply_ry, new_zero_state, prob_one, sample_shots
+from qseed.statevector import apply_ry, new_zero_state, prob_one, sample_shots
 
 from conftest import (
     doublet_geometry,
@@ -115,7 +115,7 @@ def test_criterion_3_rotation_formula_fidelity():
 
 def test_criterion_4_shot_statistics():
     state = apply_ry(new_zero_state(1), 0, math.pi / 2)
-    estimates = [sample_shots(state, 0, ShotConfig(1000, seed=k)) for k in range(200)]
+    estimates = [sample_shots(state, 0, 1000, k) for k in range(200)]
     std = float(np.std(estimates))
     expected = math.sqrt(0.25 / 1000)
     ok = 0.5 * expected <= std <= 3.0 * expected
@@ -130,13 +130,12 @@ def test_product_shot_statistics():
     subgraphs = [random_subgraph(rng) for _ in range(300)]
     scaler = ttn.fit_scaler(training.collect_features(subgraphs))
     params = ttn.TTNParams(rng.uniform(0, 2 * math.pi, 11))
-    p = np.array([pred for _, _, pred in training.edge_predictions(subgraphs, params, scaler)])
+    p = training.edge_predictions(subgraphs, params, scaler)
     inner = (p > 0.05) & (p < 0.95)
     assert np.count_nonzero(inner) >= 2000
     bound = 4 / math.sqrt(np.count_nonzero(inner))
     for seed in range(3):
-        shots = ShotConfig(1000, seed)
-        est = np.array([pred for _, _, pred in training.edge_predictions(subgraphs, params, scaler, shots)])
+        est = training.edge_predictions(subgraphs, params, scaler, 1000, seed)
         assert np.array_equal(est * 1000, np.round(est * 1000))
         z = (est[inner] - p[inner]) / np.sqrt(p[inner] * (1 - p[inner]) / 1000)
         assert abs(z.mean()) < bound

@@ -542,8 +542,11 @@ class TestEvalPredict:
              ": expected 11 parameter lines, got 10"),
             (lambda lines: lines[:-1] + ["layout=ttn-v2"], ": unsupported layout tag 'ttn-v2'"),
             (lambda lines: lines[:1] + ["-inf inf"] + lines[2:], ": scaler bounds must be finite"),
+            # [meta] is line 20, after the 6 scaler and 11 parameter lines
+            (lambda lines: ["[metadata]" if x == "[meta]" else x for x in lines],
+             ":20: unknown section '[metadata]'"),
         ],
-        ids=["before-header", "param-count", "layout-tag", "infinite-scaler"],
+        ids=["before-header", "param-count", "layout-tag", "infinite-scaler", "unknown-section"],
     )
     def test_malformed_model_file_is_data_error(self, tmp_path, subgraphs_dir, capsys, edit, message):
         model = _model_file(tmp_path, subgraphs_dir)
@@ -562,6 +565,15 @@ class TestEvalPredict:
         for line in lines[1:]:
             pred = float(line.rsplit(",", 1)[1])
             assert 0.0 <= pred <= 1.0
+
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--shot-seed", "3"]], ids=["analytic", "shots"])
+    def test_prediction_cells_are_float_reprs(self, tmp_path, subgraphs_dir, model_dir, shots):
+        """Each pred cell is the repr of a Python float: a numpy scalar's
+        repr (`np.float64(0.5)`) would change the file."""
+        out = tmp_path / "pred"
+        assert run(["predict", "--data", subgraphs_dir, "--model", model_dir / "model.txt", *shots, "--out", out]) == 0
+        cells = [line.rsplit(",", 1)[1] for line in (out / "predictions.csv").read_text().splitlines()[1:]]
+        assert cells and all(repr(float(cell)) == cell for cell in cells)
 
     def test_predict_shots_match_eval_counts(self, tmp_path, subgraphs_dir, model_dir):
         flags = ["--data", subgraphs_dir, "--model", model_dir / "model.txt", "--shots", "100", "--shot-seed", "3"]
@@ -871,30 +883,31 @@ class TestByteOrderMark:
 
 
 @pytest.mark.parametrize("mark", [b"\xef", b"\xef\xbb"], ids=["EF", "EF BB"])
-@pytest.mark.parametrize("file", ["config", "model", "nodes"])
-def test_partial_byte_order_mark_is_not_utf8(tmp_path, subgraphs_dir, capsys, mark, file):
+@pytest.mark.parametrize("file", ["config", "model", "nodes", "hits", "particles", "truth"])
+def test_partial_byte_order_mark_is_not_utf8(tmp_path, events_dir, subgraphs_dir, capsys, mark, file):
     """A file of only the first bytes of a mark is not UTF-8 text, not an
-    empty file: a config would otherwise run on every default."""
+    empty file: a config would otherwise run on every default, and an event
+    CSV, read as a stream, would lack its header."""
     model = _model_file(tmp_path, subgraphs_dir)
     cfg = tmp_path / "c.txt"
     cfg.write_text("tracks=5\n")
-    path = {"config": cfg, "model": model, "nodes": sorted(subgraphs_dir.glob("evt*_s*"))[-1] / "nodes.csv"}[file]
+    path = {
+        "config": cfg,
+        "model": model,
+        "nodes": sorted(subgraphs_dir.glob("evt*_s*"))[-1] / "nodes.csv",
+        **{kind: events_dir / f"event000000001-{kind}.csv" for kind in ("hits", "particles", "truth")},
+    }[file]
     path.write_bytes(mark)
     capsys.readouterr()
     if file == "config":
         assert run(["gen", "--out", tmp_path / "o", "--config", cfg]) == 1
+    elif path.parent == events_dir:
+        assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
     else:
         assert run(["predict", "--data", subgraphs_dir, "--model", model, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err == f"error: {path}:1: not UTF-8 text (unexpected end of data at byte 0)\n"
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("mark", [b"\xef", b"\xef\xbb"], ids=["EF", "EF BB"])
-def test_partial_byte_order_mark_event_file_has_no_header(tmp_path, events_dir, capsys, mark):
-    """Event CSVs are read as a stream, whose decoder drops a partial mark at
-    the end of the file: the file reads as empty, without its header."""
-    hits = events_dir / "event000000001-hits.csv"
-    hits.write_bytes(mark)
-    capsys.readouterr()
-    assert run(["preprocess", "--in", events_dir, "--out", tmp_path / "o"]) == 2
-    assert capsys.readouterr().err == f"error: {hits}: missing column 'hit_id'\n"
+    if path.parent == events_dir:
+        # preprocess makes its output directory before it reads an event
+        assert not list((tmp_path / "o").iterdir())
+    else:
+        assert not (tmp_path / "o").exists()

@@ -20,6 +20,7 @@ from conftest import (
     passes_cuts,
     random_subgraph,
     sector_of,
+    wrap_phi,
 )
 
 
@@ -623,6 +624,26 @@ class TestWindowMatchesAllPairs:
         got, stats, _ = assert_matches_all_pairs(hits, hg.SelectionCuts())
         assert id_pairs(hits, got) == [(2, 3), (2, 4)]
         assert stats.pairs_considered == 2
+
+
+def test_abs_wrapped_dphi_has_the_bits_of_the_scalar_wrap():
+    """A difference of two atan2 angles lies in [-2pi, 2pi]. There the
+    one-step wrap equals abs(wrap_phi) bit for bit, at the seams too."""
+    pi = math.pi
+    phis = [pi, -pi, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+    phis += [math.nextafter(v, t) for v in (pi, -pi) for t in (0.0, 10.0, -10.0)]
+    phis = np.array([v for v in phis if abs(v) <= pi])
+    rng = np.random.default_rng(8)
+    random_phis = np.arctan2(rng.normal(size=(2, 200_000)), rng.normal(size=(2, 200_000)))
+    dphi = np.concatenate([
+        (phis[:, None] - phis[None, :]).ravel(),
+        random_phis[1] - random_phis[0],
+        [pi, -pi, 2 * pi, -2 * pi, 0.0, -0.0, 5e-324, -5e-324],
+        [math.nextafter(v, t) for v in (pi, -pi, 2 * pi, -2 * pi) for t in (0.0, 10.0, -10.0)],
+    ])
+    dphi = dphi[np.abs(dphi) <= 2 * pi]
+    want = np.array([abs(wrap_phi(d)) for d in dphi.tolist()])
+    assert np.array_equal(hg._abs_wrapped_dphi(dphi).view(np.int64), want.view(np.int64))
 
 
 def test_preprocess_bytes_match_all_pairs_pipeline(tmp_path):

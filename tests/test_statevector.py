@@ -5,7 +5,6 @@ import pytest
 
 from qseed.statevector import (
     GateOp,
-    ShotConfig,
     apply_circuit,
     apply_cnot,
     apply_ry,
@@ -128,29 +127,29 @@ class TestProbOne:
 class TestSampleShots:
     def test_p_zero(self):
         s = new_zero_state(3)
-        assert sample_shots(s, 1, ShotConfig(1000, seed=42)) == 0.0
+        assert sample_shots(s, 1, 1000, 42) == 0.0
 
     def test_p_one(self):
         s = apply_ry(new_zero_state(1), 0, math.pi)
-        assert sample_shots(s, 0, ShotConfig(1000, seed=42)) == 1.0
+        assert sample_shots(s, 0, 1000, 42) == 1.0
 
     def test_fixed_seed_reproducible(self):
         s = apply_ry(new_zero_state(1), 0, 1.1)
-        a = sample_shots(s, 0, ShotConfig(1000, seed=9))
-        b = sample_shots(s, 0, ShotConfig(1000, seed=9))
+        a = sample_shots(s, 0, 1000, 9)
+        b = sample_shots(s, 0, 1000, 9)
         assert a == b
 
     def test_binomial_spread(self):
         # oracle: binomial standard error sqrt(p(1-p)/n)
         s = apply_ry(new_zero_state(1), 0, math.pi / 2)
-        estimates = [sample_shots(s, 0, ShotConfig(1000, seed=k)) for k in range(200)]
+        estimates = [sample_shots(s, 0, 1000, k) for k in range(200)]
         std = np.std(estimates)
         expected = math.sqrt(0.25 / 1000)
         assert 0.5 * expected < std < 3.0 * expected
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
-            ShotConfig(0, seed=1)
+            sample_shots(new_zero_state(1), 0, 0, 1)
 
 
 class TestDenseUnitaryOracle:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qseed.errors import DataError, NumericError, UsageError
-from qseed.statevector import ShotConfig
 from qseed.hitgraph import SubGraph, subgraph_dirname
 from qseed import training, ttn
 from qseed.training import (
@@ -239,12 +238,10 @@ class TestEvaluateMetrics:
         assert m.purity is None and m.efficiency is None and m.accuracy is None
 
     def test_shot_mode_reproducible(self):
-        from qseed.statevector import ShotConfig
-
         subs, scaler = small_dataset(n_subgraphs=3)
         params = ttn.init_params(11)
-        a = evaluate_metrics(subs, params, scaler, shots=ShotConfig(200, 5))
-        b = evaluate_metrics(subs, params, scaler, shots=ShotConfig(200, 5))
+        a = evaluate_metrics(subs, params, scaler, n_shots=200, shot_seed=5)
+        b = evaluate_metrics(subs, params, scaler, n_shots=200, shot_seed=5)
         assert (a.tp, a.fp, a.tn, a.fn) == (b.tp, b.fp, b.tn, b.fn)
 
 
@@ -323,14 +320,13 @@ class TestBatchedScoring:
         ]
         assert got_epochs == want_epochs
 
-    @pytest.mark.parametrize("shots", [None, ShotConfig(50, 7)], ids=["analytic", "shots"])
+    @pytest.mark.parametrize("shots", [(0, 0), (50, 7)], ids=["analytic", "shots"])
     def test_edge_predictions_equal_reference(self, shots):
         subs, scaler = mixed_dataset(44, n_subgraphs=12)
         params = ttn.init_params(44)
-        got = list(training.edge_predictions(subs, params, scaler, shots))
-        want = reference_predictions(subs, params, scaler, shots)
-        assert [(g.event_id, e, p) for g, e, p in got] == [(g.event_id, e, p) for g, e, p in want]
-        assert all(type(p) is float for _, _, p in got)  # repr writes a plain number
+        got = training.edge_predictions(subs, params, scaler, *shots)
+        assert got.dtype == np.float64 and got.shape == (sum(len(g.edges) for g in subs),)
+        assert got.tolist() == reference_predictions(subs, params, scaler, *shots)
 
     def test_clamp_count_counts_each_scored_edge_once(self):
         subs, scaler = mixed_dataset(45, n_subgraphs=12)
@@ -339,10 +335,10 @@ class TestBatchedScoring:
             for e in g.edges:
                 per_edge.transform(training.edge_raw_features(g, e))
         assert per_edge.clamp_count > 0
-        list(training.edge_predictions(subs, ttn.init_params(1), scaler))
+        training.edge_predictions(subs, ttn.init_params(1), scaler)
         assert scaler.clamp_count == per_edge.clamp_count
 
-    @pytest.mark.parametrize("shots", [None, ShotConfig(20, 9)], ids=["analytic", "shots"])
+    @pytest.mark.parametrize("shots", [(0, 0), (20, 9)], ids=["analytic", "shots"])
     def test_edge_predictions_score_whole_set_in_one_forward(self, monkeypatch, shots):
         subs, scaler = mixed_dataset(46, n_subgraphs=60)
         n_edges = sum(len(g.edges) for g in subs)
@@ -351,10 +347,9 @@ class TestBatchedScoring:
         forward = training.forward_batch
         monkeypatch.setattr(training, "forward_batch", lambda a, t: rows.append(len(a)) or forward(a, t))
         params = ttn.init_params(46)
-        got = list(training.edge_predictions(subs, params, scaler, shots))
+        got = training.edge_predictions(subs, params, scaler, *shots)
         assert rows == [n_edges]
-        want = reference_predictions(subs, params, scaler, shots)
-        assert [(g.event_id, e, p) for g, e, p in got] == [(g.event_id, e, p) for g, e, p in want]
+        assert got.tolist() == reference_predictions(subs, params, scaler, *shots)
 
     def test_clamp_count_after_evaluate_metrics_is_per_edge_count(self):
         subs, scaler = mixed_dataset(47, n_subgraphs=60)

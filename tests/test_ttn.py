@@ -5,7 +5,6 @@ import pytest
 
 from qseed.errors import DataError, ParseError
 from qseed.statevector import (
-    ShotConfig,
     StateVector,
     apply_circuit,
     apply_cnot,
@@ -148,7 +147,7 @@ class TestForward:
         n_ok = 0
         trials = 1000
         for seed in range(trials):
-            est = shot_estimate(exact, ShotConfig(n_shots, seed))
+            est = shot_estimate(exact, n_shots, seed)
             assert est * n_shots == pytest.approx(round(est * n_shots))
             n_ok += abs(est - exact) <= bound
         assert n_ok >= 0.99 * trials
@@ -353,7 +352,7 @@ class TestBatched:
             params = TTNParams(rng.uniform(0, 2 * math.pi, 11))
             p = forward_batch(scaler.transform(raw), params.thetas)[0, 0]
             assert p == reference_forward(raw, params, scaler)
-            shots = ShotConfig(100, int(rng.integers(1000)))
-            assert shot_estimate(p, shots) == reference_forward(raw, params, scaler, shots)
+            seed = int(rng.integers(1000))
+            assert shot_estimate(p, 100, seed) == reference_forward(raw, params, scaler, 100, seed)
             grad = gradient_batch(scaler.transform(raw), params)[0]
             assert grad.tolist() == reference_gradient(raw, params, scaler).tolist()
